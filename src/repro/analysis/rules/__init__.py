@@ -68,7 +68,6 @@ def all_rules(only: tuple[str, ...] = ()) -> list[Rule]:
         determinism,
         exceptions,
         faultcoverage,
-        kerneldeterminism,
         lifecycle,
         registry,
         secretflow,

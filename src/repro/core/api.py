@@ -68,16 +68,7 @@ class HyperTEE:
     """Top-level facade over one booted :class:`HyperTEESystem`."""
 
     def __init__(self, config: SystemConfig | None = None,
-                 system: HyperTEESystem | None = None,
-                 engine: str | None = None) -> None:
-        if engine is not None:
-            if system is not None:
-                raise ValueError(
-                    "engine selects how a new system is built; "
-                    "pass it via SystemConfig when supplying a system")
-            config = dataclasses.replace(
-                config if config is not None else SystemConfig(),
-                engine=engine)
+                 system: HyperTEESystem | None = None) -> None:
         self.system = system if system is not None else HyperTEESystem(config)
         #: CS cycles spent in primitive invocations through this facade.
         self.primitive_cycles = 0

@@ -5,12 +5,13 @@ security-mechanism toggles the evaluation sweeps:
 
 * ``ems_core`` — "weak" / "medium" / "strong" (Fig. 7);
 * ``crypto`` — "engine" / "software" (Table IV);
-* ``memory_encryption`` / ``integrity`` — the *M_encrypt* scenario knob
-  (Fig. 8b, Fig. 9);
-* ``bitmap_checking`` — the *Bitmap* scenario knob (Fig. 10);
-* ``engine`` — "reference" (the scalar interpreter, default) or "fast"
-  (the numpy-backed kernel of :mod:`repro.core.fastkernel`; bit-for-bit
-  identical behaviour, differentially pinned).
+* ``integrity`` — whether the memory encryption engine keeps per-line
+  MACs (enclave memory is always encrypted);
+* ``bitmap_checking`` — the *Bitmap* scenario knob (Fig. 10).
+
+The *M_encrypt* scenario of Fig. 8b/9 is a timing scenario, modelled by
+:attr:`repro.eval.scenarios.Scenario.memory_encryption` in the workload
+runner rather than by a platform knob.
 
 Functional protections stay on regardless of the timing knobs unless a
 knob is explicitly about functionality (``bitmap_checking`` off removes
@@ -36,12 +37,10 @@ class SystemConfig:
     ems_core: str = "medium"
     ems_cores: int = 1
     crypto: str = "engine"
-    memory_encryption: bool = True
     integrity: bool = True
     bitmap_checking: bool = True
     pool_initial_pages: int = POOL_INITIAL_PAGES
     seed: int = 0x1EE7
-    engine: str = "reference"
     ems_shards: int = 1
 
     def __post_init__(self) -> None:
@@ -55,9 +54,6 @@ class SystemConfig:
                 f"expected one of {sorted(EMS_CONFIGS)}")
         if self.crypto not in ("engine", "software"):
             raise ConfigurationError("crypto must be 'engine' or 'software'")
-        if self.engine not in ("reference", "fast"):
-            raise ConfigurationError(
-                "engine must be 'reference' or 'fast'")
         if self.ems_shards < 1:
             raise ConfigurationError(
                 f"ems_shards must be >= 1, got {self.ems_shards}")

@@ -66,15 +66,7 @@ class HyperTEESystem:
         cs_bytes = cfg.cs_memory_mb * 1024 * 1024
         ems_bytes = cfg.ems_memory_mb * 1024 * 1024
         self.memory = PhysicalMemory(cs_bytes + ems_bytes)
-        if cfg.engine == "fast":
-            from repro.core.fastkernel import FastMemoryEncryptionEngine
-
-            self.engine = FastMemoryEncryptionEngine(
-                integrity_enabled=cfg.integrity,
-                num_frames=self.memory.num_frames)
-        else:
-            self.engine = MemoryEncryptionEngine(
-                integrity_enabled=cfg.integrity)
+        self.engine = MemoryEncryptionEngine(integrity_enabled=cfg.integrity)
         self.memory.encryption_engine = self.engine
         self.partition = AddressPartition(
             cs_base=0, cs_size=cs_bytes, ems_base=cs_bytes, ems_size=ems_bytes)
@@ -106,12 +98,7 @@ class HyperTEESystem:
         reader = BitmapReader(self.bitmap) if cfg.bitmap_checking else None
         self.cores = [CSCore(i, self.memory, self.ihub, reader, CS_CORE)
                       for i in range(cfg.cs_cores)]
-        if cfg.engine == "fast":
-            from repro.core.fastkernel import FastEMCall
-
-            self.emcall = FastEMCall(self.mailbox, self.rng, self.cores)
-        else:
-            self.emcall = EMCall(self.mailbox, self.rng, self.cores)
+        self.emcall = EMCall(self.mailbox, self.rng, self.cores)
 
         # -- EMS side ------------------------------------------------------------------
         profile = ENGINE_CRYPTO if cfg.crypto == "engine" else SOFTWARE_CRYPTO
@@ -140,10 +127,6 @@ class HyperTEESystem:
             self.attestation, self.rng, num_cores=cfg.ems_cores,
             fabric_probe=self.ihub.probe)
         self.emcall.attach_ems(self.ems.pump)
-        if cfg.engine == "fast":
-            # The short-circuit path dispatches into the runtime directly;
-            # the pump stays attached for the delegated degraded paths.
-            self.emcall.attach_runtime(self.ems)
 
         # Section IX extensions: VM-level TEE, CFI monitoring, and the
         # Varys-style interrupt anomaly detector.
@@ -225,13 +208,7 @@ class HyperTEESystem:
                 enclaves=enclaves, pages=pages, swap=swap, shm=shm,
                 attestation=attestation, runtime=runtime))
 
-            if cfg.engine == "fast":
-                from repro.core.fastkernel import FastEMCall
-
-                gate = FastEMCall(mailbox, self.rng, self.cores)
-                gate.attach_runtime(runtime)
-            else:
-                gate = EMCall(mailbox, self.rng, self.cores)
+            gate = EMCall(mailbox, self.rng, self.cores)
             gate.attach_interrupt_observer(self.interrupt_monitor.observe)
             gates.append(gate)
 

@@ -57,19 +57,21 @@ class KeystreamCipher:
     def keystream(self, start: int, length: int) -> bytes:
         """The keystream window for absolute positions [start, start+length).
 
-        Public so the fast kernel's slot caches can memoize per-page
-        streams while staying bit-identical to the reference: there is
-        exactly one keystream implementation, and this is it.
+        The raw stream :meth:`encrypt` XORs with; exposed for tests and
+        tooling that check a ciphertext against its window.
         """
         return self._keystream(start, length)
 
     def encrypt(self, plaintext: bytes, tweak: int = 0) -> bytes:
         """Encrypt ``plaintext`` located at absolute position ``tweak``.
 
-        ``tweak`` is the physical byte address in the memory engine.
+        ``tweak`` is the physical byte address in the memory engine. The
+        whole span is XORed as one big integer.
         """
-        stream = self._keystream(tweak, len(plaintext))
-        return bytes(p ^ s for p, s in zip(plaintext, stream))
+        length = len(plaintext)
+        stream = self._keystream(tweak, length)
+        return (int.from_bytes(plaintext, "little")
+                ^ int.from_bytes(stream, "little")).to_bytes(length, "little")
 
     def decrypt(self, ciphertext: bytes, tweak: int = 0) -> bytes:
         """Decrypt — identical to encrypt for a XOR keystream."""

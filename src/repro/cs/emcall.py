@@ -375,7 +375,7 @@ class EMCall:
                 attempts=attempts)
         if self.san is not None:
             self.san.on_invocation(primitive.value, response.status.value,
-                                   cs_cycles, response.service_cycles)
+                                   cs_cycles)
         return InvokeResult(response=response, cs_cycles=cs_cycles,
                             attempts=attempts)
 
@@ -562,8 +562,7 @@ class EMCall:
             for (primitive, _), response, cycles in zip(
                     calls, responses, result.per_request_cycles()):
                 self.san.on_invocation(primitive.value,
-                                       response.status.value,
-                                       cycles, response.service_cycles)
+                                       response.status.value, cycles)
         return result
 
     def _batch_backoff(self, attempt: int,
@@ -711,8 +710,8 @@ class ShardedEMCall:
     resolves the target enclave to its owning shard (pure hash plus the
     transfer overrides, injected by the system as callbacks so the CS
     layer never touches EMS state) and delegates to that shard's
-    ordinary :class:`EMCall` (or :class:`FastEMCall`), which owns that
-    shard's mailbox. Validation — privilege, batchability, batch size —
+    ordinary :class:`EMCall`, which owns that shard's mailbox.
+    Validation — privilege, batchability, batch size —
     mirrors the single-gate checks byte-for-byte and runs before any
     routing side effect, so rejected calls mint no IDs on any shard.
 

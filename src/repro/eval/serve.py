@@ -13,7 +13,7 @@ mailbox backpressures?
 The driver is fully deterministic: the op mix is drawn from a
 :class:`~repro.common.rng.DeterministicRng` stream seeded by the config,
 and the platform itself is seeded the same way, so one
-``(seed, shards, workers, ops, engine)`` tuple always produces the same
+``(seed, shards, workers, ops)`` tuple always produces the same
 report document (pinned by tests/eval/test_serve.py).
 
 Chaos mode ``queuefull`` pins the request queue full for the whole run
@@ -62,8 +62,6 @@ class ServeConfig:
     ops: int = 400
     #: Seed for both the platform and the op-mix stream.
     seed: int = 0x5E12
-    #: Execution engine: ``reference`` or ``fast``.
-    engine: str = "reference"
     #: Every Nth enclave generation migrates shards before destroy
     #: (ignored at shards=1).
     transfer_every: int = 3
@@ -120,8 +118,7 @@ def _build_platform(cfg: ServeConfig) -> HyperTEE:
     # One CS core per worker: each worker holds its own enclave context
     # (entered enclaves pin the core's privilege/context registers, so
     # two workers sharing a core would nest their EENTERs).
-    tee = HyperTEE(SystemConfig(seed=cfg.seed, engine=cfg.engine,
-                                ems_shards=cfg.shards,
+    tee = HyperTEE(SystemConfig(seed=cfg.seed, ems_shards=cfg.shards,
                                 cs_cores=cfg.workers))
     tee.system.enable_observability()
     if cfg.sanitize:
@@ -257,7 +254,9 @@ def run_serve(cfg: ServeConfig,
     starved = totals["degraded"] > 0 and totals["completed"] == 0
     report: dict[str, Any] = {
         "schema": SCHEMA,
-        "config": dataclasses.asdict(cfg),
+        # The platform has one execution engine; the document still
+        # names it, so its schema (and every pinned digest) is unchanged.
+        "config": {**dataclasses.asdict(cfg), "engine": "reference"},
         "totals": {
             **totals,
             "requests_served": tee.system.ems_requests_served(),
@@ -285,7 +284,7 @@ def render_report(report: dict[str, Any]) -> str:
     totals = report["totals"]
     lines = [
         f"serve: {totals['steps']} steps, {totals['completed']} completed, "
-        f"{totals['degraded']} degraded | engine={cfg['engine']} "
+        f"{totals['degraded']} degraded | "
         f"shards={cfg['shards']} workers={cfg['workers']} "
         f"seed={cfg['seed']:#x}",
         f"EMS requests served: {totals['requests_served']}, transfers: "

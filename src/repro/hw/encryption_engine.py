@@ -14,7 +14,8 @@ KeyID 0 (``HOST_KEYID``) is plaintext passthrough for non-enclave memory.
 
 MACs are computed over the *full stored line*, so the engine exposes
 ``record_macs`` / ``verify_macs`` hooks that :class:`PhysicalMemory` calls
-with a raw-line reader after the store has landed.
+with a raw reader after the store has landed. Each hook reads the
+line-aligned span of the access once and MACs it line by line.
 """
 
 from __future__ import annotations
@@ -102,12 +103,16 @@ class MemoryEncryptionEngine:
     # -- integrity ------------------------------------------------------------------
 
     @staticmethod
-    def _lines(paddr: int, length: int):
-        line = paddr - (paddr % CACHE_LINE_SIZE)
-        end = paddr + length
-        while line < end:
-            yield line
-            line += CACHE_LINE_SIZE
+    def _span(paddr: int, length: int) -> tuple[int, int]:
+        """(first line address, byte size) of the lines an access touches."""
+        start = paddr - (paddr % CACHE_LINE_SIZE)
+        lines = -(-(paddr + length - start) // CACHE_LINE_SIZE)
+        return start, lines * CACHE_LINE_SIZE
+
+    @classmethod
+    def _lines(cls, paddr: int, length: int) -> range:
+        start, size = cls._span(paddr, length)
+        return range(start, start + size, CACHE_LINE_SIZE)
 
     def record_macs(self, paddr: int, length: int, keyid: int,
                     read_raw: LineReader) -> None:
@@ -125,9 +130,12 @@ class MemoryEncryptionEngine:
         mac_key = self._mac_keys.get(keyid)
         if mac_key is None:
             return
-        for line in self._lines(paddr, length):
-            content = read_raw(line, CACHE_LINE_SIZE)
-            self._macs[line] = (keyid, truncated_mac(mac_key, content, MAC_BITS))
+        start, size = self._span(paddr, length)
+        raw = read_raw(start, size)
+        for offset in range(0, size, CACHE_LINE_SIZE):
+            content = raw[offset:offset + CACHE_LINE_SIZE]
+            self._macs[start + offset] = (
+                keyid, truncated_mac(mac_key, content, MAC_BITS))
 
     def verify_macs(self, paddr: int, length: int, keyid: int,
                     read_raw: LineReader) -> None:
@@ -142,7 +150,10 @@ class MemoryEncryptionEngine:
         mac_key = self._mac_keys.get(keyid)
         if mac_key is None:
             return
-        for line in self._lines(paddr, length):
+        start, size = self._span(paddr, length)
+        raw = None
+        for offset in range(0, size, CACHE_LINE_SIZE):
+            line = start + offset
             recorded = self._macs.get(line)
             if recorded is None:
                 continue
@@ -153,7 +164,9 @@ class MemoryEncryptionEngine:
                 # guards the *owning* domain against tampering, not
                 # cross-domain reads.
                 continue
-            content = read_raw(line, CACHE_LINE_SIZE)
+            if raw is None:
+                raw = read_raw(start, size)
+            content = raw[offset:offset + CACHE_LINE_SIZE]
             if truncated_mac(mac_key, content, MAC_BITS) != rec_mac:
                 raise IntegrityViolation(
                     f"MAC mismatch at line {line:#x} (keyid {keyid})"

@@ -11,11 +11,10 @@ Subcommands::
     python -m repro slo                     # SLO report: quantiles + budgets
     python -m repro slo --json              # the same, machine-readable
     python -m repro flightrec dump          # flight-recorder black box
-    python -m repro bench                   # comm bench + engine throughput
+    python -m repro bench                   # scalar vs batched comm bench
     python -m repro bench --out BENCH_pr3.json  # refresh the artifact
     python -m repro bench --regress-out BENCH_pr6.json  # latency baseline
-    python -m repro bench --throughput-out BENCH_pr7.json  # engine speedup
-    python -m repro bench --check     # gate BENCH_pr6.json + BENCH_pr7.json
+    python -m repro bench --check           # gate BENCH_pr6.json
     python -m repro serve --shards 4        # seeded load drive + SLO report
     python -m repro serve --chaos queuefull # starvation self-check (exits 1)
     python -m repro lint                    # teelint architectural checks
@@ -42,21 +41,18 @@ from repro.eval.regenerate import ARTIFACTS, regenerate
 from repro.eval.report import render_table
 
 
-def run_instrumented_scenario(seed: int = 0x1EE7, engine: str = "reference"):
+def run_instrumented_scenario(seed: int = 0x1EE7):
     """One quickstart-style run on an observability-enabled platform.
 
     Returns the :class:`~repro.core.api.HyperTEE` facade; its system's
-    ``obs`` member holds the populated registry and tracer. ``engine``
-    selects the reference interpreter or the fast kernel — both feed the
-    same probes, so every downstream surface (metrics, trace, SLO,
-    flight recorder) works identically.
+    ``obs`` member holds the populated registry and tracer.
     """
     from repro.common.types import Permission, Primitive
     from repro.core.api import HyperTEE
     from repro.core.config import SystemConfig
     from repro.core.enclave import EnclaveConfig
 
-    tee = HyperTEE(SystemConfig(seed=seed, engine=engine))
+    tee = HyperTEE(SystemConfig(seed=seed))
     tee.system.enable_observability()
 
     enclave = tee.launch_enclave(b"obs scenario enclave code " * 32,
@@ -84,7 +80,7 @@ def run_instrumented_scenario(seed: int = 0x1EE7, engine: str = "reference"):
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs.export import render_json, render_prometheus
 
-    tee = run_instrumented_scenario(seed=args.seed, engine=args.engine)
+    tee = run_instrumented_scenario(seed=args.seed)
     obs = tee.system.obs
     if not obs.primitive_latency_table():
         print("error: the instrumented run recorded no primitive samples; "
@@ -125,7 +121,7 @@ def _flatten(stats: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    tee = run_instrumented_scenario(seed=args.seed, engine=args.engine)
+    tee = run_instrumented_scenario(seed=args.seed)
     tracer = tee.system.obs.tracer
     try:
         tracer.write_chrome_json(args.out)
@@ -148,7 +144,7 @@ def _cmd_regen(args: argparse.Namespace) -> int:
 def _cmd_slo(args: argparse.Namespace) -> int:
     import json as _json
 
-    tee = run_instrumented_scenario(seed=args.seed, engine=args.engine)
+    tee = run_instrumented_scenario(seed=args.seed)
     rows = tee.system.obs.slo.report()
     if not rows:
         print("error: the instrumented run recorded no SLO samples",
@@ -176,7 +172,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_flightrec(args: argparse.Namespace) -> int:
-    tee = run_instrumented_scenario(seed=args.seed, engine=args.engine)
+    tee = run_instrumented_scenario(seed=args.seed)
     recorder = tee.system.obs.flightrec
     if args.action == "dump":
         try:
@@ -202,7 +198,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_batch_comm_bench,
         write_report,
     )
-    from repro.eval import regress, throughput
+    from repro.eval import regress
 
     if args.check is not None:
         path = args.check or regress.DEFAULT_REPORT
@@ -215,29 +211,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                             inflate=args.check_inflate)
         for message in messages:
             print(message)
-        tput_path = args.throughput_check or throughput.DEFAULT_REPORT
-        try:
-            tput_committed = throughput.load_report(tput_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load {tput_path}: {exc}", file=sys.stderr)
-            return 2
-        tput_ok, tput_messages = throughput.check_report(
-            tput_committed, scale_fast=args.check_scale_fast)
-        print()
-        for message in tput_messages:
-            print(message)
-        return 0 if ok and tput_ok else 1
+        return 0 if ok else 1
 
     report = run_batch_comm_bench(seed=args.seed)
     print(render_report(report))
-    # Wall-clock throughput alongside the modelled cycles: a quick pass
-    # (no calibration repeats) by default, the fully calibrated baseline
-    # when writing the artifact.
-    tput = throughput.build_report(
-        calibration_repeats=(throughput.CALIBRATION_REPEATS
-                             if args.throughput_out else 0))
-    print()
-    print(throughput.render_report(tput))
     if args.out:
         try:
             write_report(report, args.out)
@@ -246,14 +223,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         print(f"wrote {args.out}")
-    if args.throughput_out:
-        try:
-            throughput.write_report(tput, args.throughput_out)
-        except OSError as exc:
-            print(f"error: cannot write {args.throughput_out}: "
-                  f"{exc.strerror}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.throughput_out}")
     if args.regress_out:
         latency = regress.build_report()
         print()
@@ -277,7 +246,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         cfg = ServeConfig(shards=args.shards, workers=args.workers,
-                          ops=args.ops, seed=args.seed, engine=args.engine,
+                          ops=args.ops, seed=args.seed,
                           transfer_every=args.transfer_every,
                           chaos=args.chaos,
                           sanitize=parse_sanitizer_list(args.sanitize))
@@ -351,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--format", choices=("table", "prom", "json"),
                          default="table")
     metrics.add_argument("--seed", type=int, default=0x1EE7)
-    metrics.add_argument("--engine", choices=("reference", "fast"),
-                        default="reference",
-                        help="execution engine for the scenario")
     metrics.set_defaults(func=_cmd_metrics)
 
     trace = sub.add_parser(
@@ -361,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default="hypertee-trace.json",
                        help="output path for the trace_event JSON")
     trace.add_argument("--seed", type=int, default=0x1EE7)
-    trace.add_argument("--engine", choices=("reference", "fast"),
-                      default="reference",
-                      help="execution engine for the scenario")
     trace.set_defaults(func=_cmd_trace)
 
     slo = sub.add_parser(
@@ -372,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--json", action="store_true",
                      help="machine-readable report rows")
     slo.add_argument("--seed", type=int, default=0x1EE7)
-    slo.add_argument("--engine", choices=("reference", "fast"),
-                    default="reference",
-                    help="execution engine for the scenario")
     slo.set_defaults(func=_cmd_slo)
 
     flightrec = sub.add_parser(
@@ -384,39 +344,25 @@ def build_parser() -> argparse.ArgumentParser:
     flightrec.add_argument("--out", default="hypertee-flightrec.json",
                            help="output path for the dump document")
     flightrec.add_argument("--seed", type=int, default=0x1EE7)
-    flightrec.add_argument("--engine", choices=("reference", "fast"),
-                          default="reference",
-                          help="execution engine for the scenario")
     flightrec.set_defaults(func=_cmd_flightrec)
 
     bench = sub.add_parser(
         "bench", help="scalar vs batched EMCall comm-cycle baseline "
-                      "(BENCH_pr3.json), the latency-regression gate "
-                      "(BENCH_pr6.json), and the engine-throughput gate "
-                      "(BENCH_pr7.json)")
+                      "(BENCH_pr3.json) and the latency-regression gate "
+                      "(BENCH_pr6.json)")
     bench.add_argument("--out", default=None, metavar="PATH",
                        help="also write the JSON artifact (e.g. "
                             "BENCH_pr3.json)")
     bench.add_argument("--regress-out", default=None, metavar="PATH",
                        help="also build and write the latency-regression "
                             "baseline (e.g. BENCH_pr6.json)")
-    bench.add_argument("--throughput-out", default=None, metavar="PATH",
-                       help="also build (with calibration) and write the "
-                            "engine-throughput baseline (e.g. "
-                            "BENCH_pr7.json)")
     bench.add_argument("--check", nargs="?", const="", default=None,
                        metavar="PATH",
-                       help="re-run the committed baselines and fail on "
+                       help="re-run the committed baseline and fail on "
                             "regressions beyond the calibrated bands "
-                            "(default artifacts: BENCH_pr6.json and "
-                            "BENCH_pr7.json)")
-    bench.add_argument("--throughput-check", default=None, metavar="PATH",
-                       help="throughput artifact for --check (default: "
-                            "BENCH_pr7.json)")
+                            "(default artifact: BENCH_pr6.json)")
     bench.add_argument("--check-inflate", type=float, default=1.0,
                        help=argparse.SUPPRESS)  # test hook: fake slowdown
-    bench.add_argument("--check-scale-fast", type=float, default=1.0,
-                       help=argparse.SUPPRESS)  # test hook: fake decay
     bench.add_argument("--seed", type=int, default=0xBE4C)
     bench.set_defaults(func=_cmd_bench)
 
@@ -430,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--ops", type=int, default=400,
                        help="total serve steps (default 400)")
     serve.add_argument("--seed", type=int, default=0x5E12)
-    serve.add_argument("--engine", choices=("reference", "fast"),
-                       default="reference",
-                       help="execution engine for the platform")
     serve.add_argument("--transfer-every", type=int, default=3,
                        help="migrate every Nth enclave generation between "
                             "shards (default 3)")
@@ -442,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "request queue full for the whole run")
     serve.add_argument("--sanitize", default="", metavar="LIST",
                        help="attach teesan runtime sanitizers for the run "
-                            "(comma list from secret,own,det; default off)")
+                            "(comma list from secret,own; default off)")
     serve.add_argument("--json", action="store_true",
                        help="print the machine-readable report document")
     serve.add_argument("--out", default=None, metavar="PATH",
@@ -465,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize = sub.add_parser(
         "sanitize", help="teesan: runtime sanitizers that dynamically "
                          "verify the lint invariants (secret shadow "
-                         "memory, ownership races, lockstep divergence)")
+                         "memory, ownership races)")
     configure_sanitize(sanitize)
     sanitize.set_defaults(func=_cmd_sanitize)
 

@@ -5,15 +5,13 @@ Modes::
     python -m repro sanitize --check          # sanitized scenarios, clean
     python -m repro sanitize --seed-violation secret   # must exit 1
     python -m repro sanitize --seed-violation own      # must exit 1
-    python -m repro sanitize --seed-violation det      # must exit 1
     python -m repro sanitize --report teesan.json      # CI artifact
 
-``--check`` (the default) runs the single-EMS lifecycle scenario, the
-sharded transfer scenario, and the DET lockstep comparison, then exits
-non-zero if any sanitizer fired. The ``--seed-violation`` modes
-deliberately break one invariant each and *expect* the matching
-diagnostic — CI runs all three so a silently-disabled sanitizer fails
-the job, mirroring teelint's seeded-violation smoke.
+``--check`` (the default) runs the single-EMS lifecycle scenario and the
+sharded transfer scenario, then exits non-zero if any sanitizer fired.
+The ``--seed-violation`` modes deliberately break one invariant each and
+*expect* the matching diagnostic — CI runs both so a silently-disabled
+sanitizer fails the job, mirroring teelint's seeded-violation smoke.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--check", action="store_true",
                         help="run the sanitized scenarios and fail on any "
                              "violation (the default action)")
-    parser.add_argument("--sanitize", default="secret,own,det",
+    parser.add_argument("--sanitize", default="secret,own",
                         metavar="LIST",
                         help="comma-separated sanitizers to enable "
                              f"(from {', '.join(SANITIZERS)}; default all)")
@@ -43,21 +41,18 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         help="deliberately break one invariant and expect "
                              "the matching diagnostic (self-check; exits 1)")
     parser.add_argument("--seed", type=int, default=0x1EE7)
-    parser.add_argument("--engine", choices=("reference", "fast"),
-                        default="reference",
-                        help="execution engine for the scenarios")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the JSON run report to PATH")
     parser.add_argument("--json", action="store_true",
                         help="print the machine-readable run report")
 
 
-def _seed_secret_violation(seed: int, engine: str) -> SanitizerManager:
+def _seed_secret_violation(seed: int) -> SanitizerManager:
     """Leak a freshly-minted sealing key onto the raw DRAM bus."""
     from repro.core.config import SystemConfig
     from repro.core.system import HyperTEESystem
 
-    system = HyperTEESystem(SystemConfig(seed=seed, engine=engine))
+    system = HyperTEESystem(SystemConfig(seed=seed))
     manager = system.enable_sanitizers(("secret",)).san
     leaked = system.keys.sealing_key(b"seeded-violation")
     # The deliberate bug: plaintext key material written bus-raw into
@@ -86,26 +81,15 @@ def _seed_own_violation(seed: int) -> SanitizerManager:
 
 def run(args: argparse.Namespace) -> int:
     """Entry point behind ``python -m repro sanitize``."""
-    from repro.sanitize.det import format_lockstep_report, run_lockstep
-
     try:
         sanitizers = parse_sanitizer_list(args.sanitize)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.seed_violation == "det":
-        report = run_lockstep(seed=args.seed, perturb_event=3)
-        print(format_lockstep_report(report))
-        if report["ok"]:
-            print("error: DET lockstep passed a perturbed trail",
-                  file=sys.stderr)
-            return 1
-        return 1  # the expected diagnostic fired; self-checks want exit 1
-
-    if args.seed_violation in ("secret", "own"):
+    if args.seed_violation is not None:
         if args.seed_violation == "secret":
-            manager = _seed_secret_violation(args.seed, args.engine)
+            manager = _seed_secret_violation(args.seed)
         else:
             manager = _seed_own_violation(args.seed)
         print(manager.report_text())
@@ -120,35 +104,21 @@ def run(args: argparse.Namespace) -> int:
         run_sanitized_shard_scenario,
     )
 
-    active = tuple(name for name in sanitizers if name != "det")
-    documents = {}
     managers = []
-    if active:
-        manager = run_sanitized_scenario(seed=args.seed,
-                                         engine=args.engine,
-                                         sanitizers=active)
-        managers.append(("lifecycle", manager))
-        shard_manager = run_sanitized_shard_scenario(seed=args.seed,
-                                                     sanitizers=active)
-        managers.append(("shard-transfer", shard_manager))
-    det_report = None
-    if "det" in sanitizers:
-        det_report = run_lockstep(seed=args.seed)
-        documents["det"] = det_report
-
+    if sanitizers:
+        managers.append(("lifecycle", run_sanitized_scenario(
+            seed=args.seed, sanitizers=sanitizers)))
+        managers.append(("shard-transfer", run_sanitized_shard_scenario(
+            seed=args.seed, sanitizers=sanitizers)))
     ok = all(manager.ok() for _, manager in managers)
-    if det_report is not None:
-        ok = ok and det_report["ok"]
 
     document = {
         "schema": "hypertee.teesan.run/1",
         "seed": args.seed,
-        "engine": args.engine,
         "sanitizers": list(sanitizers),
         "ok": ok,
         "scenarios": {label: manager.to_dict()
                       for label, manager in managers},
-        **documents,
     }
     if args.report:
         try:
@@ -171,8 +141,6 @@ def run(args: argparse.Namespace) -> int:
                   f"{stats.frames_scanned} frames scanned")
             if not manager.ok():
                 print(manager.report_text())
-        if det_report is not None:
-            print(format_lockstep_report(det_report))
         if args.report:
             print(f"wrote {args.report}")
     return 0 if ok else 1

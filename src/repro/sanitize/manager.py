@@ -1,4 +1,4 @@
-"""The teesan hook hub: one manager, three sanitizers, one event trail.
+"""The teesan hook hub: one manager, two sanitizers, one event trail.
 
 Instrumented components carry a ``san`` attribute (``None`` by default,
 exactly like the ``obs``/``faults`` hooks) and call the manager's
@@ -35,7 +35,7 @@ from repro.sanitize.report import (
 from repro.sanitize.shadow import ShadowMap, TaintRegistry
 
 #: Sanitizer names accepted by the CLI and the attach helpers.
-SANITIZERS = ("secret", "own", "det")
+SANITIZERS = ("secret", "own")
 
 #: Trail depth kept per manager (mirrors the flight recorder's ring).
 _TRAIL_DEPTH = 64
@@ -90,14 +90,12 @@ class SanitizerManager:
         self._trail: collections.deque[str] = collections.deque(
             maxlen=_TRAIL_DEPTH)
         self._clock = 0
-        from repro.sanitize.det import DetTrail
         from repro.sanitize.own import OwnSanitizer
         from repro.sanitize.secret import SecretSanitizer
 
         self.secret = (SecretSanitizer(self)
                        if "secret" in self.enabled else None)
         self.own = OwnSanitizer(self) if "own" in self.enabled else None
-        self.det = DetTrail(self) if "det" in self.enabled else None
 
     # -- trail & reporting -------------------------------------------------------
 
@@ -268,12 +266,10 @@ class SanitizerManager:
             self.own.note_abort(enclave_id)
 
     def on_invocation(self, primitive: str, status: str,
-                      cs_cycles: int, service_cycles: int) -> None:
-        """One EMCall invocation completed on the CS side."""
+                      cs_cycles: int) -> None:
+        """One EMCall invocation completed on the CS side (trail context)."""
         self.event("emcall.invoke", primitive=primitive, status=status,
                    cs_cycles=cs_cycles)
-        if self.det is not None:
-            self.det.record(primitive, status, cs_cycles, service_cycles)
 
     def on_ems_dispatch(self, primitive: str, status: str,
                         service_cycles: int) -> None:

@@ -7,7 +7,7 @@ A violation renders as::
         #0 [event 181] wire.request primitive=ESEAL request_id=7
         #1 [event 180] secret.mint label=sealing-key#1f2e3d4c bytes=32
         ...
-    SUMMARY: TeeSan: 2 violations (secret=1 own=1 det=0), 412 events
+    SUMMARY: TeeSan: 2 violations (secret=1 own=1), 412 events
 
 The trail is the manager's recent structured-event ring (newest first),
 the dynamic sibling of the flight recorder's black box. Secret *values*
@@ -32,7 +32,7 @@ def redact(value: bytes) -> str:
 class Violation:
     """One sanitizer finding, with the event trail that led to it."""
 
-    sanitizer: str            #: ``secret`` / ``own`` / ``det``
+    sanitizer: str            #: ``secret`` / ``own``
     kind: str                 #: e.g. ``SECRET-LEAK``, ``DOUBLE-GRANT``
     message: str              #: one-sentence diagnosis (pre-redacted)
     event: int                #: manager clock when the check fired

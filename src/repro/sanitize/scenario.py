@@ -1,4 +1,4 @@
-"""Sanitized driver scenarios for the CLI check and the DET lockstep.
+"""Sanitized driver scenarios for the ``python -m repro sanitize`` check.
 
 One deterministic quickstart-style lifecycle (the same shape the
 observability CLI drives) plus a sharded variant that exercises the
@@ -9,7 +9,7 @@ any workload runs, so every mint/claim/wire event is observed.
 from __future__ import annotations
 
 
-def run_sanitized_scenario(seed: int = 0x1EE7, engine: str = "reference",
+def run_sanitized_scenario(seed: int = 0x1EE7,
                            sanitizers: tuple[str, ...] = ("secret", "own")):
     """One full lifecycle under sanitizers; returns the manager.
 
@@ -22,7 +22,7 @@ def run_sanitized_scenario(seed: int = 0x1EE7, engine: str = "reference",
     from repro.core.config import SystemConfig
     from repro.core.enclave import EnclaveConfig
 
-    tee = HyperTEE(SystemConfig(seed=seed, engine=engine))
+    tee = HyperTEE(SystemConfig(seed=seed))
     tee.system.enable_observability()
     manager = tee.system.enable_sanitizers(sanitizers).san
 

@@ -363,37 +363,6 @@ def test_tee010_real_emcall_and_serve_route_everything():
     assert result.findings == []
 
 
-# -- TEE011 kernel determinism ------------------------------------------------
-
-def test_tee011_bad_fires_on_float_charging_paths(lint_fixture):
-    result = lint_fixture("tee011_bad", "TEE011")
-    assert keys(result) == {
-        "float-return:service_cycles",
-        "float-cost:charge_batch:cycles",
-        "float-cost-acc:charge_batch:total_cycles",
-        "float-scatter:scatter:shares_cycles",
-        "banned-reduction:summarize:mean",
-        "banned-reduction:summarize:std",
-    }
-    assert all(f.severity is Severity.ERROR for f in result.findings)
-
-
-def test_tee011_good_integer_spellings_are_silent(lint_fixture):
-    # dtype=np.int64, //, divmod, int(...), .astype(np.int64): all the
-    # sanctioned spellings type as INT and stay silent.
-    result = lint_fixture("tee011_good", "TEE011")
-    assert result.findings == []
-
-
-def test_tee011_real_fast_engine_is_integer_exact():
-    # The differential matrix pins the fast engine bit-for-bit; the
-    # rule must agree the shipped kernels qualify.
-    from repro.analysis import run_lint
-    from .conftest import REPO_ROOT
-    result = run_lint([REPO_ROOT / "src" / "repro"], only=("TEE011",))
-    assert result.findings == []
-
-
 # -- TEE012 fault coverage ----------------------------------------------------
 
 def test_tee012_bad_fires_on_unfired_and_untested_points(lint_fixture):

@@ -13,7 +13,9 @@ invariants after every step:
   never leaves ``[POOL_THRESHOLD_MIN, POOL_THRESHOLD_MAX]``;
 * **growth is bounded** — randomized thresholds cannot make the pool
   balloon: capacity stays within the analytic bound implied by the
-  minimum threshold plus one enlargement step.
+  minimum threshold plus one enlargement step;
+* **FIFO reuse** — frames given back are granted again in the order
+  they were returned, and only frames that were granted come back.
 
 Example counts are bounded (this file runs in tier-1).
 """
@@ -143,3 +145,55 @@ def test_thresholds_rerandomize_within_band(seed):
         draws.add(pool._threshold)
         assert POOL_THRESHOLD_MIN <= pool._threshold <= POOL_THRESHOLD_MAX
     assert len(draws) > 1  # the trigger actually moves
+
+
+class _SequentialOS:
+    """Minimal FrameSource: hands out fresh ascending frame numbers."""
+
+    def __init__(self):
+        self.next_frame = 0
+
+    def alloc_frames(self, count, requestor=""):
+        frames = list(range(self.next_frame, self.next_frame + count))
+        self.next_frame += count
+        return frames
+
+    def free_frames(self, frames, requestor=""):
+        pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(st.tuples(st.booleans(),
+                              st.integers(min_value=1, max_value=8)),
+                    min_size=1, max_size=60),
+       seed=st.integers(min_value=0, max_value=1 << 16))
+def test_pool_grant_invariants(ops, seed):
+    """No double-grant; freed subset of allocated; FIFO reuse order."""
+    memory = PhysicalMemory(4 * 1024 * 1024)
+    pool = EnclaveMemoryPool(_SequentialOS(), memory,
+                             DeterministicRng(seed), initial_pages=64)
+    outstanding: set[int] = set()
+    returned_order: list[int] = []
+    for is_take, pages in ops:
+        if is_take:
+            if pool.free_count < pages:
+                continue
+            frames = pool.take(pages)
+            assert len(frames) == pages
+            assert not outstanding & set(frames), "double-granted frame"
+            # Stable FIFO reuse: among the frames we returned, recycling
+            # happens in return order (fresh/initial frames may
+            # interleave — they entered the queue at other times — but
+            # never reorder the returned ones relative to each other).
+            recycled = [f for f in frames if f in set(returned_order)]
+            assert recycled == returned_order[:len(recycled)], \
+                "recycled frames out of FIFO order"
+            del returned_order[:len(recycled)]
+            outstanding |= set(frames)
+        elif outstanding:
+            give = sorted(outstanding)[:pages]
+            assert set(give) <= outstanding, "freed frame never granted"
+            pool.give_back(give)
+            outstanding -= set(give)
+            returned_order.extend(give)
+    assert pool.used_count == len(outstanding)

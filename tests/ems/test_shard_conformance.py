@@ -12,10 +12,12 @@ Two differential contracts pin the multi-EMS shard pool:
    mints them platform-globally from 1), the same measurements, the
    same readbacks, CA-verifiable quotes, and the same total modelled
    cycles and requests served; only *where* each request was served
-   moves. Both engines are held to the same contract.
+   moves.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -23,25 +25,29 @@ from repro.common.types import Primitive
 from repro.core.api import HyperTEE
 from repro.core.config import SystemConfig
 from repro.core.enclave import EnclaveConfig
-from repro.eval.throughput import memory_digest
 
 
-@pytest.fixture(params=("reference", "fast"))
-def engine(request) -> str:
-    return request.param
+def memory_digest(system) -> str:
+    """SHA-256 over all of physical memory (raw stored bytes)."""
+    digest = hashlib.sha256()
+    memory = system.memory
+    step = 1 << 20
+    for base in range(0, memory.size_bytes, step):
+        digest.update(memory.read_raw(
+            base, min(step, memory.size_bytes - base)))
+    return digest.hexdigest()
 
 
-def _scripted_run(shards: int | None, engine: str,
-                  seed: int = 0x51AD) -> dict:
+def _scripted_run(shards: int | None, seed: int = 0x51AD) -> dict:
     """The conformance workload: mixed lifecycle over five enclaves.
 
     ``shards=None`` builds the config without touching the knob at all —
     the pre-shard construction path, byte for byte.
     """
     if shards is None:
-        config = SystemConfig(seed=seed, engine=engine)
+        config = SystemConfig(seed=seed)
     else:
-        config = SystemConfig(seed=seed, engine=engine, ems_shards=shards)
+        config = SystemConfig(seed=seed, ems_shards=shards)
     tee = HyperTEE(config)
     ca = tee.system.certificate_authority()
     out: dict = {"ids": [], "measurements": [], "readbacks": [],
@@ -75,22 +81,22 @@ def _scripted_run(shards: int | None, engine: str,
     return out
 
 
-def test_one_shard_config_takes_legacy_path(engine: str):
+def test_one_shard_config_takes_legacy_path():
     """``ems_shards=1`` must not even build the pool machinery."""
-    tee = HyperTEE(SystemConfig(engine=engine, ems_shards=1))
+    tee = HyperTEE(SystemConfig(ems_shards=1))
     assert tee.system.shard_pool is None
     assert tee.system.ems_runtimes == [tee.system.ems]
 
 
-def test_one_shard_is_bitforbit_the_default(engine: str):
+def test_one_shard_is_bitforbit_the_default():
     """Explicit ``ems_shards=1`` == config default, every observable.
 
     This is the hard identity contract: the one-shard platform must be
     indistinguishable from a platform built before sharding existed —
     same physical-memory digest, same modelled cycles, same everything.
     """
-    explicit = _scripted_run(shards=1, engine=engine)
-    default = _scripted_run(shards=None, engine=engine)
+    explicit = _scripted_run(shards=1)
+    default = _scripted_run(shards=None)
     assert explicit["shard_pool"] is None
     for field in ("ids", "measurements", "readbacks", "quotes_verify",
                   "primitive_cycles", "requests_served", "memory_digest"):
@@ -99,10 +105,10 @@ def test_one_shard_is_bitforbit_the_default(engine: str):
 
 
 @pytest.mark.parametrize("shards", (2, 4))
-def test_n_shards_semantically_equivalent_to_one(shards: int, engine: str):
+def test_n_shards_semantically_equivalent_to_one(shards: int):
     """The fleet answers exactly like a single EMS, cycle-for-cycle."""
-    single = _scripted_run(shards=1, engine=engine)
-    fleet = _scripted_run(shards=shards, engine=engine)
+    single = _scripted_run(shards=1)
+    fleet = _scripted_run(shards=shards)
 
     assert fleet["shard_pool"] is not None
     assert fleet["ids"] == single["ids"]
@@ -119,14 +125,3 @@ def test_n_shards_semantically_equivalent_to_one(shards: int, engine: str):
                             "is a routing failure"
     assert sum(row["served"] for row in summary["per_shard"]) == \
         fleet["requests_served"]
-
-
-def test_fleet_identical_across_engines():
-    """Reference and fast engines agree on the sharded platform too."""
-    reference = _scripted_run(shards=4, engine="reference")
-    fast = _scripted_run(shards=4, engine="fast")
-    assert reference["measurements"] == fast["measurements"]
-    assert reference["readbacks"] == fast["readbacks"]
-    assert reference["primitive_cycles"] == fast["primitive_cycles"]
-    assert reference["requests_served"] == fast["requests_served"]
-    assert reference["memory_digest"] == fast["memory_digest"]

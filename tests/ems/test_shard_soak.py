@@ -29,8 +29,7 @@ SOAK_SHARDS = 4
 CHECK_EVERY = 20
 
 
-@pytest.mark.parametrize("engine", ("reference", "fast"))
-def test_serve_soak_holds_invariants(engine: str):
+def test_serve_soak_holds_invariants():
     """The multi-thousand-op drive never violates a fleet invariant."""
     slo_samples = []
 
@@ -48,7 +47,7 @@ def test_serve_soak_holds_invariants(engine: str):
 
     report = run_serve(
         ServeConfig(shards=SOAK_SHARDS, workers=4, ops=SOAK_OPS,
-                    seed=0x50AC, engine=engine),
+                    seed=0x50AC),
         on_step=invariants)
 
     assert slo_samples, "the invariant hook never ran"

@@ -55,8 +55,7 @@ def chaos_sanitizers() -> tuple[str, ...]:
     ``CHAOS_SANITIZE=`` (empty) disables them; any other value is a
     comma list. The default runs SECRET+OWN under every chaos plan —
     the sanitizers assert the decoupling invariants *while* the fault
-    injector is actively trying to break them. DET is omitted: it
-    compares engines, which a single chaos platform doesn't have.
+    injector is actively trying to break them.
     """
     from repro.sanitize.manager import parse_sanitizer_list
 

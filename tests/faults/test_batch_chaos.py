@@ -54,16 +54,16 @@ def _alloc_rounds(tee, *, rounds: int = 6, batch: int = 8) -> bytes:
     return measurement
 
 
-def _fault_free_reference(engine: str = "reference", **kwargs):
-    tee = chaos_tee(FaultPlan.empty(), observability=False, engine=engine)
+def _fault_free_reference(**kwargs):
+    tee = chaos_tee(FaultPlan.empty(), observability=False)
     measurement = _alloc_rounds(tee, **kwargs)
     return measurement, tee.system.pool.stats.takes
 
 
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
-def test_batched_lifecycle_survives_transport_chaos(seed: int, engine: str):
+def test_batched_lifecycle_survives_transport_chaos(seed: int):
     """Envelope drop/corrupt/duplicate at 10%/5%/5%, batched end to end."""
-    tee = chaos_tee(transport_chaos_plan(seed), engine=engine)
+    tee = chaos_tee(transport_chaos_plan(seed))
     with flight_guard(tee, label="batch-transport-chaos"):
         readbacks = run_batched_lifecycle(tee, enclaves=4)
         assert readbacks == [f"batch-secret-of-{i}".encode()
@@ -77,8 +77,7 @@ def test_batched_lifecycle_survives_transport_chaos(seed: int, engine: str):
 
 
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
-def test_element_corrupt_replays_only_the_wounded_suffix(seed: int,
-                                                         engine: str):
+def test_element_corrupt_replays_only_the_wounded_suffix(seed: int):
     """A CRC-broken *element* is replayed alone; its siblings are not.
 
     The EMS answers TRANSIENT for the corrupted element without running
@@ -86,10 +85,10 @@ def test_element_corrupt_replays_only_the_wounded_suffix(seed: int,
     envelope, and no acknowledged element ever crosses again — so the
     EMS-side idempotency cache is never even consulted.
     """
-    reference_measurement, reference_takes = _fault_free_reference(engine)
+    reference_measurement, reference_takes = _fault_free_reference()
     plan = FaultPlan(seed=seed, rules=(
         FaultRule("mailbox.batch.element_corrupt", probability=0.25),))
-    tee = chaos_tee(plan, engine=engine)
+    tee = chaos_tee(plan)
     measurement = _alloc_rounds(tee)
     check_invariants(tee.system)
 
@@ -113,18 +112,17 @@ def test_element_corrupt_replays_only_the_wounded_suffix(seed: int,
 
 
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
-def test_handler_exception_mid_batch_is_transient_and_isolated(seed: int,
-                                                               engine: str):
+def test_handler_exception_mid_batch_is_transient_and_isolated(seed: int):
     """A handler crash on element k answers TRANSIENT for k alone.
 
     Elements before and after k in the same envelope complete normally
     (one failing primitive doesn't poison its batch), and k is retried
     with its original idempotency key until it lands.
     """
-    reference_measurement, reference_takes = _fault_free_reference(engine)
+    reference_measurement, reference_takes = _fault_free_reference()
     plan = FaultPlan(seed=seed, rules=(
         FaultRule("ems.handler.exception", probability=0.15),))
-    tee = chaos_tee(plan, engine=engine)
+    tee = chaos_tee(plan)
     measurement = _alloc_rounds(tee)
     check_invariants(tee.system)
 
@@ -135,8 +133,7 @@ def test_handler_exception_mid_batch_is_transient_and_isolated(seed: int,
 
 
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
-def test_lost_envelopes_replay_through_the_idempotency_cache(seed: int,
-                                                             engine: str):
+def test_lost_envelopes_replay_through_the_idempotency_cache(seed: int):
     """Dropping whole batch envelopes (or responses) never double-applies.
 
     A lost *response* means the EMS applied the batch but EMCall never
@@ -144,14 +141,14 @@ def test_lost_envelopes_replay_through_the_idempotency_cache(seed: int,
     and the cache answers them without re-running handlers — takes and
     measurements stay exactly at the fault-free reference.
     """
-    reference_measurement, reference_takes = _fault_free_reference(engine)
+    reference_measurement, reference_takes = _fault_free_reference()
     plan = FaultPlan(seed=seed, rules=(
         FaultRule("mailbox.request.drop", probability=0.10),
         FaultRule("mailbox.response.drop", probability=0.10),
         FaultRule("mailbox.request.duplicate", probability=0.08),
         FaultRule("mailbox.response.duplicate", probability=0.08),
     ))
-    tee = chaos_tee(plan, engine=engine)
+    tee = chaos_tee(plan)
     measurement = _alloc_rounds(tee)
     check_invariants(tee.system)
 

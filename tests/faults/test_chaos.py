@@ -35,12 +35,11 @@ from tests.faults.chaoslib import (
 pytestmark = pytest.mark.chaos
 
 
-def _fault_free_measurements(count: int = 8,
-                             engine: str = "reference") -> list[bytes]:
+def _fault_free_measurements(count: int = 8) -> list[bytes]:
     from repro.core.enclave import EnclaveConfig
     from repro.faults import FaultPlan
 
-    tee = chaos_tee(FaultPlan.empty(), observability=False, engine=engine)
+    tee = chaos_tee(FaultPlan.empty(), observability=False)
     return [tee.launch_enclave(f"chaos-enclave-{i}".encode() * 8,
                                EnclaveConfig(name=f"chaos{i}",
                                              heap_pages_max=64)).measurement
@@ -48,14 +47,14 @@ def _fault_free_measurements(count: int = 8,
 
 
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
-def test_transport_chaos_full_lifecycle(seed: int, engine: str):
+def test_transport_chaos_full_lifecycle(seed: int):
     """The acceptance run: 10% drop on both queues, 8 enclaves, no hangs.
 
     Bounded retries mean the test itself is the termination proof: if
     any invocation hung, the suite would never return (pytest-level
     wall-clock is the backstop).
     """
-    tee = chaos_tee(transport_chaos_plan(seed), engine=engine)
+    tee = chaos_tee(transport_chaos_plan(seed))
     with flight_guard(tee, label="transport-chaos"):
         readbacks = run_lifecycle(tee, enclaves=8)
         # Binding: every enclave read back its own secret through
@@ -80,18 +79,17 @@ def test_transport_chaos_full_lifecycle(seed: int, engine: str):
 
 
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
-def test_chaos_measurements_match_fault_free_reference(seed: int,
-                                                       engine: str):
+def test_chaos_measurements_match_fault_free_reference(seed: int):
     """Idempotency end-to-end: retries never double-EADD.
 
     A double-applied EADD would fold an extra page hash into the
     measurement; equality with the fault-free reference is therefore a
     bit-level proof that no retried request was applied twice.
     """
-    reference = _fault_free_measurements(engine=engine)
+    reference = _fault_free_measurements()
     tee = chaos_tee(transport_chaos_plan(seed, drop=0.15, corrupt=0.08,
                                          duplicate=0.08),
-                    observability=False, engine=engine)
+                    observability=False)
     from repro.core.enclave import EnclaveConfig
 
     for i, expected in enumerate(reference):
@@ -103,9 +101,9 @@ def test_chaos_measurements_match_fault_free_reference(seed: int,
 
 
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
-def test_kitchen_sink_chaos_terminates(seed: int, engine: str):
+def test_kitchen_sink_chaos_terminates(seed: int):
     """All eleven fault points at once; the platform still completes."""
-    tee = chaos_tee(kitchen_sink_plan(seed), engine=engine)
+    tee = chaos_tee(kitchen_sink_plan(seed))
     with flight_guard(tee, label="kitchen-sink"):
         readbacks = run_lifecycle(tee, enclaves=4)
         assert readbacks == [f"secret-of-{i}".encode() for i in range(4)]
@@ -116,7 +114,7 @@ def test_kitchen_sink_chaos_terminates(seed: int, engine: str):
     assert stats.requests_cancelled >= stats.stale_responses
 
 
-def test_table6_outcomes_unchanged_under_faults(engine: str):
+def test_table6_outcomes_unchanged_under_faults():
     """The defense matrix is about architecture, not weather: HyperTEE
     defends all five channels even on a degraded fabric."""
     from repro.baselines.hypertee_adapter import HyperTEEAdapter
@@ -125,7 +123,7 @@ def test_table6_outcomes_unchanged_under_faults(engine: str):
         return HyperTEEAdapter(tee=chaos_tee(
             transport_chaos_plan(seed=1, drop=0.05, corrupt=0.03,
                                  duplicate=0.03),
-            observability=False, engine=engine))
+            observability=False))
 
     outcomes = {channel: result.outcome
                 for channel, result in evaluate_tee(faulted_hypertee).items()}

@@ -42,7 +42,7 @@ def test_slo_exits_nonzero_when_nothing_was_recorded(monkeypatch, capsys):
     idle = HyperTEE(SystemConfig(seed=3))
     idle.system.enable_observability()
     monkeypatch.setattr(cli, "run_instrumented_scenario",
-                        lambda seed=0, engine="reference": idle)
+                        lambda seed=0: idle)
     assert cli.main(["slo"]) == 1
     assert "no SLO samples" in capsys.readouterr().err
 
@@ -79,7 +79,7 @@ def test_metrics_exits_nonzero_on_an_empty_registry(monkeypatch, capsys):
     idle = HyperTEE(SystemConfig(seed=3))
     idle.system.enable_observability()
     monkeypatch.setattr(cli, "run_instrumented_scenario",
-                        lambda seed=0, engine="reference": idle)
+                        lambda seed=0: idle)
     assert cli.main(["metrics"]) == 1
     err = capsys.readouterr().err
     assert "no primitive samples" in err

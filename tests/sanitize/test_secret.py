@@ -161,19 +161,11 @@ def test_full_lifecycle_scenario_is_clean():
     assert manager.stats.frames_scanned > 0
 
 
-def test_fast_engine_scenario_is_clean():
-    from repro.sanitize.scenario import run_sanitized_scenario
-
-    manager = run_sanitized_scenario(engine="fast",
-                                     sanitizers=("secret", "own"))
-    manager.check_clean("lifecycle-fast")
-
-
 def test_seeded_leak_is_detected_end_to_end():
     """The CLI's seeded SECRET violation, via the library path."""
     from repro.sanitize.cli import _seed_secret_violation
 
-    manager = _seed_secret_violation(seed=0x1EE7, engine="reference")
+    manager = _seed_secret_violation(seed=0x1EE7)
     assert not manager.ok()
     kinds = {v.kind for v in manager.violations}
     assert kinds == {"SECRET-LEAK"}
