@@ -28,7 +28,7 @@ from repro.common.constants import (
     EMS_CORE_FREQ_HZ,
 )
 from repro.crypto.cipher import KeystreamCipher
-from repro.crypto.hashes import keyed_mac, measure
+from repro.crypto.hashes import constant_time_equal, keyed_mac, measure
 from repro.eval.calibration import (
     CRYPTO_ENGINE_SETUP_CYCLES,
     CRYPTO_SOFTWARE_SETUP_CYCLES,
@@ -138,11 +138,9 @@ class CryptoEngine:
     def verify(self, key: bytes, data: bytes, signature: bytes) -> tuple[bool, int]:
         """Verify a signature by recomputation."""
         expected = keyed_mac(key, data)
-        import hmac as _hmac
-
         cycles = self.verify_cycles()
         self._probe("verify", len(data), cycles)
-        return _hmac.compare_digest(expected, signature), cycles
+        return constant_time_equal(expected, signature), cycles
 
     def bulk_encrypt(self, key: bytes, data: bytes, tweak: int = 0) -> tuple[bytes, int]:
         """Encrypt a page-sized (or larger) buffer, e.g. for EWB swap-out."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.crypto.hashes import keyed_mac
+from repro.crypto.hashes import MacKey, keyed_mac
 
 KEY_BYTES = 32
 
@@ -43,9 +43,10 @@ class KeyDerivation:
     """
 
     def __init__(self, roots: RootKeys) -> None:
-        self._roots = roots
+        self._sealed = MacKey(roots.sealed_key)
+        self._endorsement = MacKey(roots.endorsement_key)
 
-    def _derive(self, parent: bytes, label: str, *context: bytes) -> bytes:
+    def _derive(self, parent: MacKey, label: str, *context: bytes) -> bytes:
         data = label.encode()
         for item in context:
             data += len(item).to_bytes(4, "little") + item
@@ -55,7 +56,7 @@ class KeyDerivation:
 
     def enclave_memory_key(self, measurement: bytes) -> bytes:
         """Per-enclave memory encryption key: derived from SK + measurement."""
-        return self._derive(self._roots.sealed_key, "enclave-memory", measurement)
+        return self._derive(self._sealed, "enclave-memory", measurement)
 
     def shared_memory_key(self, sender_enclave_id: int, shm_id: int) -> bytes:
         """Shared-region key from the initial sender EnclaveID and ShmID.
@@ -64,13 +65,13 @@ class KeyDerivation:
         unpredictable and may join after creation (Section V-A).
         """
         ctx = sender_enclave_id.to_bytes(8, "little") + shm_id.to_bytes(8, "little")
-        return self._derive(self._roots.sealed_key, "shared-memory", ctx)
+        return self._derive(self._sealed, "shared-memory", ctx)
 
     # -- attestation ---------------------------------------------------------
 
     def attestation_key(self, salt: bytes) -> bytes:
         """AK = KDF(SK, random salt) — rotated by regenerating the salt."""
-        return self._derive(self._roots.sealed_key, "attestation", salt)
+        return self._derive(self._sealed, "attestation", salt)
 
     def report_key(self, challenger_measurement: bytes) -> bytes:
         """Local-attestation report key, bound to the challenger identity.
@@ -79,16 +80,16 @@ class KeyDerivation:
         the same platform can produce or verify the report (Section VI,
         "Local attestation").
         """
-        return self._derive(self._roots.sealed_key, "report", challenger_measurement)
+        return self._derive(self._sealed, "report", challenger_measurement)
 
     # -- sealing --------------------------------------------------------------
 
     def sealing_key(self, measurement: bytes) -> bytes:
         """Sealing key bound to enclave measurement + device SK."""
-        return self._derive(self._roots.sealed_key, "sealing", measurement)
+        return self._derive(self._sealed, "sealing", measurement)
 
     # -- platform signing -------------------------------------------------------
 
     def platform_signing_key(self) -> bytes:
         """Key the EMS uses to sign platform measurements (stands for EK use)."""
-        return self._derive(self._roots.endorsement_key, "platform-sign")
+        return self._derive(self._endorsement, "platform-sign")

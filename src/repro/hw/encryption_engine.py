@@ -5,8 +5,8 @@ Models a commercial MK-TME/SME-style engine:
 * a KeyID -> key slot table, configurable **only by the EMS via iHub**
   (the engine refuses configuration from any other master);
 * per-cache-line encryption tweaked by physical address;
-* a 28-bit SHA-3-based MAC per line for integrity; violation raises
-  :class:`~repro.errors.IntegrityViolation`;
+* a 28-bit HMAC-SHA3 MAC per line for integrity, under the slot's key;
+  violation raises :class:`~repro.errors.IntegrityViolation`;
 * KeyID slot exhaustion, which the EMS resolves by suspending an enclave
   and reclaiming its slot (exercised in tests).
 
@@ -29,7 +29,7 @@ from repro.common.constants import (
     MAC_BITS,
 )
 from repro.crypto.cipher import KeystreamCipher
-from repro.crypto.hashes import truncated_mac
+from repro.crypto.hashes import MacKey, truncated_mac
 from repro.errors import IntegrityViolation, IsolationViolation, KeySlotExhausted
 
 LineReader = Callable[[int, int], bytes]
@@ -43,7 +43,7 @@ class MemoryEncryptionEngine:
         self.key_slots = key_slots
         self.integrity_enabled = integrity_enabled
         self._ciphers: dict[int, KeystreamCipher] = {}
-        self._mac_keys: dict[int, bytes] = {}
+        self._mac_keys: dict[int, MacKey] = {}
         #: line physical address -> (keyid, mac over stored line content)
         self._macs: dict[int, tuple[int, int]] = {}
         #: Runtime sanitizer manager (None = off); see repro.sanitize.
@@ -54,9 +54,11 @@ class MemoryEncryptionEngine:
     def program_key(self, keyid: int, key: bytes, *, from_ems: bool) -> None:
         """Install ``key`` in slot ``keyid``.
 
-        Only the EMS, through its iHub configuration path, may program
-        keys; any other master raises :class:`IsolationViolation` —
-        "configured only by EMS via iHub" (paper Section IV-C).
+        The slot keeps the key's cipher and its MAC pads, built once here
+        for every line MAC under ``keyid``. Only the EMS, through its iHub
+        configuration path, may program keys; any other master raises
+        :class:`IsolationViolation` — "configured only by EMS via iHub"
+        (paper Section IV-C).
         """
         if not from_ems:
             raise IsolationViolation("only EMS may program encryption keys")
@@ -65,7 +67,7 @@ class MemoryEncryptionEngine:
         if keyid not in self._ciphers and len(self._ciphers) >= self.key_slots:
             raise KeySlotExhausted(f"all {self.key_slots} KeyID slots in use")
         self._ciphers[keyid] = KeystreamCipher(key)
-        self._mac_keys[keyid] = key
+        self._mac_keys[keyid] = MacKey(key)
         if self.san is not None:
             self.san.on_key_programmed(keyid)
 

@@ -12,12 +12,14 @@ DRAM bytes, the same plaintext, the same MAC table and the same
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.constants import CACHE_LINE_SIZE, HOST_KEYID, MAC_BITS, PAGE_SIZE
 from repro.crypto.cipher import KeystreamCipher
-from repro.crypto.hashes import truncated_mac
 from repro.errors import IntegrityViolation
 from repro.hw.encryption_engine import MemoryEncryptionEngine
 
@@ -35,7 +37,20 @@ def _oracle_lines(paddr: int, length: int):
 
 
 class _PerLineOracle(MemoryEncryptionEngine):
-    """One raw read and one MAC per line; a per-byte XOR."""
+    """One raw read and one MAC per line; a per-byte XOR.
+
+    The line MAC is the stdlib's HMAC-SHA3-256 under the raw key bytes,
+    truncated here, so a wrong MAC in ``repro.crypto.hashes`` shows as a
+    differing MAC table rather than agreeing with itself.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._raw_keys: dict[int, bytes] = {}
+
+    def program_key(self, keyid, key, *, from_ems):
+        super().program_key(keyid, key, from_ems=from_ems)
+        self._raw_keys[keyid] = key
 
     def encrypt_access(self, paddr, data, keyid):
         if keyid == HOST_KEYID:
@@ -46,14 +61,15 @@ class _PerLineOracle(MemoryEncryptionEngine):
     decrypt_access = encrypt_access
 
     def _line_mac(self, keyid, line, read_raw):
-        return truncated_mac(self._mac_keys[keyid],
-                             read_raw(line, CACHE_LINE_SIZE), MAC_BITS)
+        full = hmac.new(self._raw_keys[keyid], read_raw(line, CACHE_LINE_SIZE),
+                        hashlib.sha3_256).digest()
+        return int.from_bytes(full[:8], "little") & ((1 << MAC_BITS) - 1)
 
     def record_macs(self, paddr, length, keyid, read_raw):
         for line in _oracle_lines(paddr, length):
             if keyid == HOST_KEYID:
                 self._macs.pop(line, None)
-            elif keyid in self._mac_keys:
+            elif keyid in self._raw_keys:
                 self._macs[line] = (keyid, self._line_mac(keyid, line, read_raw))
 
     def verify_macs(self, paddr, length, keyid, read_raw):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import pytest
 
-from repro.common.constants import PAGE_SIZE
+from repro.common.constants import MAC_BITS, PAGE_SIZE
 from repro.errors import IntegrityViolation, IsolationViolation, KeySlotExhausted
 from repro.hw.encryption_engine import MemoryEncryptionEngine
 from repro.hw.memory import PhysicalMemory
@@ -36,10 +39,28 @@ def test_slot_exhaustion():
 
 
 def test_reprogramming_same_keyid_is_not_a_new_slot():
-    engine = MemoryEncryptionEngine(key_slots=1)
-    engine.program_key(1, b"a" * 32, from_ems=True)
-    engine.program_key(1, b"b" * 32, from_ems=True)
+    """Reprogramming replaces the slot's MAC pads; release drops them."""
+    key_a, key_b = b"a" * 32, b"b" * 32
+    mem = PhysicalMemory(1024 * 1024)
+    engine = mem.encryption_engine = MemoryEncryptionEngine(key_slots=1)
+    engine.program_key(1, key_a, from_ems=True)
+    mem.write(0x2000, b"A" * 64, keyid=1)
+    engine.program_key(1, key_b, from_ems=True)
     assert engine.slots_in_use() == 1
+
+    mem.write(0x2000, b"B" * 64, keyid=1)
+    raw = mem.read_raw(0x2000, 64)
+    full = hmac.new(key_b, raw, hashlib.sha3_256).digest()
+    mac_b = int.from_bytes(full[:8], "little") & ((1 << MAC_BITS) - 1)
+    assert engine._macs[0x2000] == (1, mac_b)
+    assert mem.read(0x2000, 64, keyid=1) == b"B" * 64
+    mem.write_raw(0x2000, bytes([raw[0] ^ 1]) + raw[1:])
+    with pytest.raises(IntegrityViolation):
+        mem.read(0x2000, 64, keyid=1)
+
+    engine.release_key(1, from_ems=True)
+    assert 1 not in engine._mac_keys
+    assert engine.slots_in_use() == 0
 
 
 def test_physical_tamper_detected(memory: PhysicalMemory):
