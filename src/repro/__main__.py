@@ -1,8 +1,8 @@
 """``python -m repro`` — evaluation artifacts plus observability surfaces.
 
 The argparse CLI lives in :mod:`repro.obs.cli`: ``regen`` (the default;
-bare artifact names keep working), ``metrics``, ``trace``, ``bench``,
-and ``lint``.
+bare artifact names keep working), ``metrics``, ``trace``, ``slo``,
+``flightrec``, ``serve``, ``lint`` and ``sanitize``.
 """
 
 from __future__ import annotations

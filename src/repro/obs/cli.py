@@ -11,10 +11,6 @@ Subcommands::
     python -m repro slo                     # SLO report: quantiles + budgets
     python -m repro slo --json              # the same, machine-readable
     python -m repro flightrec dump          # flight-recorder black box
-    python -m repro bench                   # scalar vs batched comm bench
-    python -m repro bench --out BENCH_pr3.json  # refresh the artifact
-    python -m repro bench --regress-out BENCH_pr6.json  # latency baseline
-    python -m repro bench --check           # gate BENCH_pr6.json
     python -m repro serve --shards 4        # seeded load drive + SLO report
     python -m repro serve --chaos queuefull # starvation self-check (exits 1)
     python -m repro lint                    # teelint architectural checks
@@ -26,10 +22,10 @@ Subcommands::
 a quickstart-style enclave scenario that exercises the lifecycle, memory,
 shared-memory, and attestation primitives, then report from the registry
 or the tracer. Open the trace file in Perfetto (https://ui.perfetto.dev).
-``lint`` runs the :mod:`repro.analysis` rule catalogue (TEE001-TEE008)
-over the package sources. ``sanitize`` runs the :mod:`repro.sanitize`
-runtime sanitizers (teesan) over sanitized scenarios — the dynamic twin
-of the static rules.
+``lint`` runs the :mod:`repro.analysis` rule catalogue (TEE001-TEE010
+and TEE012) over the package sources. ``sanitize`` runs the
+:mod:`repro.sanitize` runtime sanitizers (teesan) over sanitized
+scenarios — the dynamic twin of the static rules.
 """
 
 from __future__ import annotations
@@ -192,51 +188,6 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.eval.bench import (
-        render_report,
-        run_batch_comm_bench,
-        write_report,
-    )
-    from repro.eval import regress
-
-    if args.check is not None:
-        path = args.check or regress.DEFAULT_REPORT
-        try:
-            committed = regress.load_report(path)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load {path}: {exc}", file=sys.stderr)
-            return 2
-        ok, messages = regress.check_report(committed,
-                                            inflate=args.check_inflate)
-        for message in messages:
-            print(message)
-        return 0 if ok else 1
-
-    report = run_batch_comm_bench(seed=args.seed)
-    print(render_report(report))
-    if args.out:
-        try:
-            write_report(report, args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}",
-                  file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    if args.regress_out:
-        latency = regress.build_report()
-        print()
-        print(regress.render_report(latency))
-        try:
-            regress.write_report(latency, args.regress_out)
-        except OSError as exc:
-            print(f"error: cannot write {args.regress_out}: {exc.strerror}",
-                  file=sys.stderr)
-            return 1
-        print(f"wrote {args.regress_out}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -297,8 +248,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 #: whether the first token selects a subcommand or is a bare artifact
 #: name for ``regen`` — keep it in lockstep with :func:`build_parser`
 #: (pinned by the CLI smoke test).
-COMMANDS = ("regen", "metrics", "trace", "slo", "flightrec", "bench",
-            "serve", "lint", "sanitize")
+COMMANDS = ("regen", "metrics", "trace", "slo", "flightrec", "serve",
+            "lint", "sanitize")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,26 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     flightrec.add_argument("--seed", type=int, default=0x1EE7)
     flightrec.set_defaults(func=_cmd_flightrec)
 
-    bench = sub.add_parser(
-        "bench", help="scalar vs batched EMCall comm-cycle baseline "
-                      "(BENCH_pr3.json) and the latency-regression gate "
-                      "(BENCH_pr6.json)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="also write the JSON artifact (e.g. "
-                            "BENCH_pr3.json)")
-    bench.add_argument("--regress-out", default=None, metavar="PATH",
-                       help="also build and write the latency-regression "
-                            "baseline (e.g. BENCH_pr6.json)")
-    bench.add_argument("--check", nargs="?", const="", default=None,
-                       metavar="PATH",
-                       help="re-run the committed baseline and fail on "
-                            "regressions beyond the calibrated bands "
-                            "(default artifact: BENCH_pr6.json)")
-    bench.add_argument("--check-inflate", type=float, default=1.0,
-                       help=argparse.SUPPRESS)  # test hook: fake slowdown
-    bench.add_argument("--seed", type=int, default=0xBE4C)
-    bench.set_defaults(func=_cmd_bench)
-
     serve = sub.add_parser(
         "serve", help="seeded multi-enclave load drive across EMS shards "
                       "with an SLO + per-shard attribution report")
@@ -399,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="teelint: AST checks for the CS/EMS decoupling "
-                     "invariants (TEE001-TEE008)")
+                     "invariants (TEE001-TEE010, TEE012)")
     configure_lint(lint)
     lint.set_defaults(func=_cmd_lint)
 
@@ -418,10 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     # Backward compatibility: bare artifact names still regenerate, so
     # ``python -m repro table6 fig8a`` keeps working. Anything in
-    # COMMANDS (or a help flag) dispatches as a subcommand instead.
+    # COMMANDS (or a help flag) dispatches as a subcommand instead; any
+    # other word is a typo, not an artifact list for ``regen``.
+    if argv and argv[0] not in (*COMMANDS, *ARTIFACTS) \
+            and not argv[0].startswith("-"):
+        parser.error(f"unknown command or artifact {argv[0]!r}; choose a "
+                     f"command from {list(COMMANDS)} or an artifact from "
+                     f"{list(ARTIFACTS)}")
     if not argv or argv[0] not in (*COMMANDS, "-h", "--help"):
         argv = ["regen", *argv]
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     return args.func(args)

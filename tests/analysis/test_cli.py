@@ -21,8 +21,8 @@ def test_commands_constant_matches_the_parser():
     sub = next(a for a in parser._actions
                if hasattr(a, "choices") and a.choices)
     assert tuple(sub.choices) == COMMANDS == \
-        ("regen", "metrics", "trace", "slo", "flightrec", "bench", "serve",
-         "lint", "sanitize")
+        ("regen", "metrics", "trace", "slo", "flightrec", "serve", "lint",
+         "sanitize")
 
 
 def test_help_lists_every_subcommand_with_help_text(capsys):
@@ -46,6 +46,19 @@ def test_bare_artifact_names_still_regenerate(capsys):
     # The back-compat path must survive the inventory change.
     assert main(["table4"]) == 0
     assert "Table IV" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("token", ["bench", "metric"])
+def test_unknown_first_token_names_commands_and_artifacts(token, capsys):
+    # A retired command or a typo is neither a subcommand nor an artifact
+    # list for ``regen``: the error must point at both inventories.
+    with pytest.raises(SystemExit) as exc:
+        main([token])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unknown command or artifact {token!r}" in err
+    assert all(command in err for command in COMMANDS)
+    assert "table4" in err
 
 
 # -- exit codes --------------------------------------------------------------

@@ -226,12 +226,13 @@ def test_tee006_good_ordered_branches_and_handoffs_are_silent(lint_fixture):
 
 
 def test_tee006_real_sdk_lifecycle_is_clean():
-    # The real CS SDK and the benchmark driver launch/enter/destroy in
-    # protocol order — the rule must agree with the runtime machine.
+    # The real CS SDK and the CLI's instrumented scenario launch/enter/
+    # destroy in protocol order — the rule must agree with the runtime
+    # machine.
     from repro.analysis import run_lint
     from .conftest import REPO_ROOT
     src = REPO_ROOT / "src" / "repro"
-    result = run_lint([src / "cs" / "sdk.py", src / "eval" / "bench.py"],
+    result = run_lint([src / "cs" / "sdk.py", src / "obs" / "cli.py"],
                       only=("TEE006",))
     assert result.findings == []
 

@@ -7,7 +7,12 @@ fast tier-1 suite and gets the ``tier1`` marker automatically, so
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def pytest_addoption(parser):
@@ -21,6 +26,29 @@ def pytest_addoption(parser):
 def update_golden(request) -> bool:
     """True when the run should refresh golden files, not assert them."""
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture
+def golden(update_golden):
+    """``golden(name, current)``: pin ``current`` to tests/golden/<name>.json.
+
+    Under ``--update-golden`` the file is rewritten in its canonical form
+    (``indent=2``, sorted keys, trailing newline); otherwise ``current``
+    must equal the committed document exactly.
+    """
+    def check(name: str, current) -> None:
+        path = GOLDEN_DIR / f"{name}.json"
+        if update_golden:
+            path.write_text(json.dumps(current, indent=2, sort_keys=True)
+                            + "\n", encoding="utf-8")
+            return
+        assert path.exists(), \
+            f"tests/golden/{path.name} missing; run with --update-golden"
+        assert current == json.loads(path.read_text(encoding="utf-8")), (
+            f"the model drifted from tests/golden/{path.name}. If the "
+            "change is intended, regenerate with --update-golden and "
+            "commit the reviewed diff.")
+    return check
 
 
 def pytest_collection_modifyitems(items):

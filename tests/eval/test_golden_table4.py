@@ -16,13 +16,7 @@ then review the JSON diff like any other code change.
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 from repro.eval.regenerate import table4_rows
-
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / \
-    "golden" / "table4.json"
 
 #: Float cells are pinned to 12 decimal places: far below any physical
 #: meaning, far above float noise, and stable across platforms.
@@ -39,17 +33,5 @@ def _current() -> dict:
     }
 
 
-def test_table4_matches_golden(update_golden):
-    current = _current()
-    if update_golden:
-        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(json.dumps(current, indent=2, sort_keys=True)
-                          + "\n", encoding="utf-8")
-        return
-    assert GOLDEN.exists(), \
-        "tests/golden/table4.json missing — run with --update-golden"
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert current == golden, (
-        "Table IV drifted from tests/golden/table4.json. If the change "
-        "is intended, regenerate with --update-golden and commit the "
-        "reviewed diff.")
+def test_table4_matches_golden(golden):
+    golden("table4", _current())

@@ -1,5 +1,5 @@
-"""CLI coverage for the observability surfaces: slo, flightrec, metrics
-exit codes, and the bench --check gate's failure modes."""
+"""CLI coverage for the observability surfaces: slo, flightrec, and
+metrics/trace exit codes."""
 
 from __future__ import annotations
 
@@ -97,34 +97,6 @@ def test_trace_unwritable_path_exits_one(tmp_path, capsys):
     assert cli.main(["trace", "--out",
                      str(tmp_path / "no" / "trace.json")]) == 1
     assert "error:" in capsys.readouterr().err
-
-
-# -- bench --check failure modes ---------------------------------------------
-
-def test_bench_writes_both_artifacts(tmp_path, capsys):
-    comm = tmp_path / "comm.json"
-    latency = tmp_path / "latency.json"
-    assert cli.main(["bench", "--out", str(comm),
-                     "--regress-out", str(latency)]) == 0
-    assert json.loads(comm.read_text())["schema"].startswith("hypertee.")
-    doc = json.loads(latency.read_text())
-    assert doc["schema"] == "hypertee.regress/1"
-    assert "lifecycle" in doc["scenarios"]
-    out = capsys.readouterr().out
-    assert str(comm) in out and str(latency) in out
-
-
-def test_bench_check_missing_artifact_exits_two(tmp_path, capsys):
-    missing = tmp_path / "nope.json"
-    assert cli.main(["bench", "--check", str(missing)]) == 2
-    assert "cannot load" in capsys.readouterr().err
-
-
-def test_bench_check_rejects_a_foreign_schema(tmp_path, capsys):
-    artifact = tmp_path / "old.json"
-    artifact.write_text(json.dumps({"schema": "hypertee.bench/1"}))
-    assert cli.main(["bench", "--check", str(artifact)]) == 1
-    assert "regenerate" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["slo", "--seed", "7"],
