@@ -4,12 +4,17 @@ Only management requests and responses ever cross the CS/EMS boundary —
 enclave private data never does (paper Section III-C). Each request is
 bound to its response by a unique ``request_id`` assigned by EMCall, and a
 requester can only collect the response carrying its own id.
+
+Packets are plain slotted records: EMCall builds one or more per call,
+and a frozen dataclass costs several times as much to build. Nothing
+mutates a packet once it is sent.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+from collections.abc import Hashable
 from typing import Any
 
 from repro.common.types import Primitive, Privilege
@@ -31,7 +36,7 @@ class ResponseStatus(enum.Enum):
     TRANSIENT = "transient"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class PrimitiveRequest:
     """One enclave primitive request packet.
 
@@ -45,18 +50,17 @@ class PrimitiveRequest:
     enclave_id: int | None
     privilege: Privilege
     args: dict[str, Any] = dataclasses.field(default_factory=dict)
-    issue_cycle: int = 0
     #: Stamped by EMCall on every request so a timed-out-and-retried
     #: request — a *new* request id for the *same* logical operation — is
     #: deduplicated EMS-side instead of re-applied.
-    idempotency_key: str | None = None
+    idempotency_key: Hashable | None = None
 
     def arg(self, name: str, default: Any = None) -> Any:
         """Convenience accessor for an argument field."""
         return self.args.get(name, default)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class PrimitiveResponse:
     """One primitive response packet, bound to its request by id."""
 
@@ -70,7 +74,7 @@ class PrimitiveResponse:
         return self.status is ResponseStatus.OK
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class BatchRequest:
     """N independent primitive requests in one mailbox transaction.
 
@@ -87,7 +91,7 @@ class BatchRequest:
     requests: tuple[PrimitiveRequest, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "requests", tuple(self.requests))
+        self.requests = tuple(self.requests)
         if not self.requests:
             raise ValueError("a BatchRequest must carry at least one request")
 
@@ -100,7 +104,7 @@ class BatchRequest:
         return len(self.requests)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class BatchResponse:
     """Per-element responses for one batch, bound by ``batch_id``.
 
@@ -115,7 +119,7 @@ class BatchResponse:
     service_cycles: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "responses", tuple(self.responses))
+        self.responses = tuple(self.responses)
         if not self.responses:
             raise ValueError("a BatchResponse must carry at least one "
                              "response")

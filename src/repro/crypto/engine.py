@@ -28,7 +28,7 @@ from repro.common.constants import (
     EMS_CORE_FREQ_HZ,
 )
 from repro.crypto.cipher import KeystreamCipher
-from repro.crypto.hashes import constant_time_equal, keyed_mac, measure
+from repro.crypto.hashes import MacKey, constant_time_equal, keyed_mac, measure
 from repro.eval.calibration import (
     CRYPTO_ENGINE_SETUP_CYCLES,
     CRYPTO_SOFTWARE_SETUP_CYCLES,
@@ -129,8 +129,12 @@ class CryptoEngine:
         self._probe("hash", total, cycles)
         return measure(*chunks), cycles
 
-    def sign(self, key: bytes, data: bytes) -> tuple[bytes, int]:
-        """Produce a signature (HMAC stand-in; see DESIGN.md substitutions)."""
+    def sign(self, key: bytes | MacKey, data: bytes) -> tuple[bytes, int]:
+        """Produce a signature (HMAC stand-in; see DESIGN.md substitutions).
+
+        ``key`` is raw bytes for a one-off key, or the :class:`MacKey` of a
+        long-lived one (the platform key, the AK).
+        """
         cycles = self.sign_cycles()
         self._probe("sign", len(data), cycles)
         return keyed_mac(key, data), cycles

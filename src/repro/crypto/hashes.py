@@ -4,9 +4,10 @@ The paper uses SHA-3 for enclave measurement (EMEAS) and a 28-bit
 SHA-3-based MAC for memory integrity (Section IV-C). Python's hashlib
 provides SHA-3 natively, so these are faithful rather than substituted.
 
-A key that MACs many messages (a KeyID slot's line-MAC key, a KDF root)
-is installed once as a :class:`MacKey`; one-off keys are passed as raw
-bytes. Both give the same HMAC-SHA3-256.
+A key that MACs many messages (a KeyID slot's line-MAC key, a KDF root,
+the platform-signing key and the AK) is installed once as a
+:class:`MacKey`; one-off keys are passed as raw bytes. Both give the
+same HMAC-SHA3-256.
 """
 
 from __future__ import annotations

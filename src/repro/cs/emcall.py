@@ -26,30 +26,33 @@ CS interrupt path (Section III-C).
 Degraded-weather hardening (``docs/fault_injection.md``): the poll loop
 carries a **per-primitive deadline**; an expired deadline cancels the
 mailbox slot and retries with **exponential backoff plus jitter**, every
-wasted cycle accounted into the CS-visible latency. Retried
-non-idempotent primitives (ECREATE/EADD) carry an **idempotency key** so
-the EMS deduplicates re-applies. When the EMS stays unreachable past the
-bounded retries, EMCall raises a typed :class:`~repro.errors.EMCallTimeout`
-— or, with ``retry_policy.degrade`` set, returns a structured
-:class:`DegradedResult` instead of hanging. The fault-free path is
-bit-identical to the unhardened gate (pinned by
+wasted cycle accounted into the CS-visible latency. Every request carries
+an **idempotency key** so the EMS deduplicates re-applies. When the EMS
+stays unreachable past the bounded retries, EMCall raises a typed
+:class:`~repro.errors.EMCallTimeout` — or, with ``retry_policy.degrade``
+set, returns a structured :class:`DegradedResult` instead of hanging. The
+fault-free path is bit-identical to the unhardened gate (pinned by
 ``tests/obs/test_noninterference.py``).
 
-Batched fast path (``docs/performance.md``): :meth:`EMCall.invoke_batch`
+One retry loop (``docs/performance.md``): :meth:`EMCall.invoke` and
+:meth:`EMCall.invoke_batch` are thin entries into one private loop that
+owns retry, poll, deadline, backoff and the TRANSIENT suffix. A batch
 packs N independent requests into one mailbox envelope — one trap, one
-doorbell/IRQ, one fabric crossing per direction — with per-element
-status, per-element idempotency keys (a retried envelope replays only
-its non-acknowledged elements), and bitmap-change TLB shootdowns
-coalesced across the batch. The scalar path is untouched: with batching
-unused, every modelled cycle is bit-identical to before (pinned by the
-differential and noninterference suites).
+doorbell/IRQ, one fabric crossing per direction — with per-element status
+and idempotency keys (a retried envelope replays only its
+non-acknowledged elements), and bitmap-change TLB shootdowns coalesced
+across the batch. A scalar call is the one-element case: it travels as a
+bare :class:`PrimitiveRequest`, is labelled by its primitive rather than
+``BATCH``, and its cycle formula is the N=1 case of the batch formula.
+The clean path builds only the packets it sends and the result it
+returns.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.common.constants import CS_CORE_FREQ_HZ, EMS_CORE_FREQ_HZ
 from repro.common.packets import (
@@ -91,12 +94,55 @@ _UNBATCHABLE = frozenset({Primitive.EENTER, Primitive.ERESUME,
 _OS_TARGETED = frozenset({Primitive.EADD, Primitive.EMEAS, Primitive.EENTER,
                           Primitive.ERESUME, Primitive.EDESTROY})
 
-#: Nearly every primitive mutates EMS state in a way a blind re-send
-#: could double-apply (ECREATE/EADD most visibly — a re-added page would
-#: corrupt the measurement — but also EENTER/EALLOC/ESHMAT state
-#: transitions), so EMCall stamps *every* request with an idempotency
-#: key: a retry after a lost response replays the cached outcome
-#: EMS-side instead of re-executing the handler.
+#: Poll deadline of each primitive (a batch waits for its slowest).
+_DEADLINE_POLLS = {
+    primitive: EMCALL_DEADLINE_POLLS.get(primitive.value,
+                                         EMCALL_DEFAULT_DEADLINE_POLLS)
+    for primitive in Primitive}
+
+#: EMS-core service cycles -> CS-core cycles.
+_EMS_TO_CS = CS_CORE_FREQ_HZ / EMS_CORE_FREQ_HZ
+
+_TRANSIENT = ResponseStatus.TRANSIENT
+
+Calls = Sequence[tuple[Primitive, dict[str, Any]]]
+
+
+def _check(calls: Calls, core: CSCore, *, batch: bool) -> None:
+    """Refuse a call the gate must not send, before any side effect.
+
+    Every primitive must be invoked from its Table II privilege level; a
+    batch must hold 1..``EMCALL_BATCH_MAX`` batchable elements. Both gates
+    run this first, so a rejected call sends nothing and mints no ID on
+    any shard.
+    """
+    if batch:
+        if not calls:
+            raise EMCallError("invoke_batch needs at least one call")
+        if len(calls) > EMCALL_BATCH_MAX:
+            raise EMCallError(
+                f"batch of {len(calls)} exceeds EMCALL_BATCH_MAX="
+                f"{EMCALL_BATCH_MAX}")
+    for primitive, _ in calls:
+        if batch and primitive in _UNBATCHABLE:
+            raise EMCallError(
+                f"{primitive.value} switches the core context and "
+                "cannot be batched")
+        required = PRIMITIVE_PRIVILEGE[primitive]
+        if core.privilege is not required:
+            raise PrivilegeViolation(
+                f"{primitive.value} requires {required.name}, "
+                f"core {core.core_id} is at {core.privilege.name}")
+
+
+def _deadline(calls: Calls) -> int:
+    """Polls per attempt before the gate gives up on a response."""
+    return max(_DEADLINE_POLLS[primitive] for primitive, _ in calls)
+
+
+def _label(calls: Calls, batch: bool) -> str:
+    """The retry/timeout telemetry label: ``BATCH`` or the primitive."""
+    return "BATCH" if batch else calls[0][0].value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,7 +160,7 @@ class RetryPolicy:
     degrade: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class InvokeResult:
     """Response plus the CS-visible latency of the whole invocation."""
 
@@ -170,7 +216,7 @@ class DegradedResult:
         return default
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class BatchInvokeResult:
     """Per-element responses plus the amortized CS-visible batch latency.
 
@@ -225,7 +271,16 @@ class EMCall:
         self._rng = rng
         self._cores = cores
         self._request_ids = itertools.count(1)
-        self._idempotency_ids = itertools.count(1)
+        #: Nearly every primitive mutates EMS state in a way a blind
+        #: re-send could double-apply (ECREATE/EADD most visibly — a
+        #: re-added page would corrupt the measurement — but also
+        #: EENTER/EALLOC/ESHMAT state transitions), so *every* element
+        #: carries an idempotency key: a retry after a lost response
+        #: replays the cached outcome EMS-side instead of re-executing the
+        #: handler. This is the next key; a call of N elements takes N.
+        self._next_key = 1
+        #: Poll-obfuscation jitter: one draw per completed transaction.
+        self._jitter = rng.stream("emcall-jitter")
         #: Synchronous EMS pump, attached by the SoC after the EMS boots.
         self._ems_pump: Callable[[], None] | None = None
         #: Count of TLB flushes triggered by bitmap updates (Fig. 11 input).
@@ -250,136 +305,9 @@ class EMCall:
     def invoke(self, primitive: Primitive, args: dict[str, Any], *,
                core: CSCore) -> InvokeResult | DegradedResult:
         """Invoke one enclave primitive on behalf of ``core``'s context."""
-        required = PRIMITIVE_PRIVILEGE[primitive]
-        if core.privilege is not required:
-            raise PrivilegeViolation(
-                f"{primitive.value} requires {required.name}, "
-                f"core {core.core_id} is at {core.privilege.name}")
-        if self._ems_pump is None:
-            raise EMCallError("EMS not attached; secure boot incomplete?")
-
-        policy = self.retry_policy
-        deadline_polls = EMCALL_DEADLINE_POLLS.get(
-            primitive.value, EMCALL_DEFAULT_DEADLINE_POLLS)
-        idempotency_key = f"c{core.core_id}-k{next(self._idempotency_ids)}"
-
-        #: Cycles beyond the clean-path formula: extra polls, backoff
-        #: waits, and injected fabric latency — all CS-visible.
-        extra_cycles = 0
-        request_ids: list[int] = []
-        response: PrimitiveResponse | None = None
-        request: PrimitiveRequest | None = None
-        attempts = 0
-        polls = 0
-
-        while attempts < policy.max_attempts:
-            attempts += 1
-            request = PrimitiveRequest(
-                request_id=next(self._request_ids),
-                primitive=primitive,
-                enclave_id=core.current_enclave_id,   # hardware-stamped identity
-                privilege=core.privilege,
-                args=dict(args),
-                idempotency_key=idempotency_key,
-            )
-            request_ids.append(request.request_id)
-            try:
-                self.mailbox.push_request(request)
-            except MailboxError:
-                # Queue full (real backlog or injected burst): the
-                # transmitter backs off and re-sends.
-                extra_cycles += self._backoff(primitive, attempts,
-                                              core.current_enclave_id)
-                continue
-            # Both transfer legs cross the iHub; latency spikes land here.
-            extra_cycles += \
-                self.mailbox.transfer_cycles("request") - Mailbox.TRANSFER_CYCLES
-
-            self._ems_pump()
-            response = self.mailbox.poll_response(request.request_id)
-            polls = 1
-            while response is None and polls < deadline_polls:
-                self._ems_pump()
-                response = self.mailbox.poll_response(request.request_id)
-                polls += 1
-            # Only polls beyond the first cost cycles: the clean
-            # synchronous path is charged exactly as before hardening.
-            extra_cycles += EMCALL_POLL_INTERVAL_CYCLES * (polls - 1)
-
-            if response is None:
-                # Deadline expired: release the slot (late responses
-                # become stale) and back off before the re-send.
-                self.mailbox.cancel_request(request.request_id)
-                if self.obs is not None:
-                    self.obs.record_emcall_timeout(
-                        primitive.value, attempts,
-                        enclave_id=core.current_enclave_id)
-                extra_cycles += self._backoff(primitive, attempts,
-                                              core.current_enclave_id)
-                continue
-            if response.request_id != request.request_id:
-                raise EMCallError(
-                    f"mailbox delivered response {response.request_id} "
-                    f"for request {request.request_id}")
-            if response.status is ResponseStatus.TRANSIENT:
-                # The EMS runtime failed before touching state; safe to
-                # re-send under the same idempotency key.
-                response = None
-                extra_cycles += self._backoff(primitive, attempts,
-                                              core.current_enclave_id)
-                continue
-            extra_cycles += \
-                self.mailbox.transfer_cycles("response") - Mailbox.TRANSFER_CYCLES
-            break
-
-        if response is None:
-            waited = extra_cycles + EMCALL_DISPATCH_CYCLES
-            if policy.degrade:
-                if self.obs is not None:
-                    self.obs.record_emcall_degraded(
-                        primitive.value, attempts,
-                        enclave_id=core.current_enclave_id)
-                return DegradedResult(
-                    primitive=primitive, attempts=attempts,
-                    cs_cycles=waited,
-                    reason=f"no response within {deadline_polls} polls x "
-                           f"{attempts} attempts",
-                    request_ids=tuple(request_ids))
-            if self.obs is not None:
-                self.obs.trip_flightrec(
-                    "emcall-timeout", primitive=primitive.value,
-                    attempts=attempts, deadline_polls=deadline_polls,
-                    waited_cycles=waited,
-                    enclave_id=core.current_enclave_id)
-            raise EMCallTimeout(primitive.value, attempts, deadline_polls,
-                                waited)
-
-        self._apply_cs_actions(core, response)
-
-        jitter = self._rng.randint(0, EMCALL_POLL_JITTER_CYCLES, stream="emcall-jitter")
-        ems_to_cs = CS_CORE_FREQ_HZ / EMS_CORE_FREQ_HZ
-        cs_cycles = (EMCALL_DISPATCH_CYCLES
-                     + 2 * Mailbox.TRANSFER_CYCLES
-                     + int(response.service_cycles * ems_to_cs)
-                     + jitter
-                     + extra_cycles)
-        if self.obs is not None:
-            self.obs.record_invocation(
-                primitive=primitive.value, status=response.status.value,
-                request_id=request.request_id, cs_cycles=cs_cycles,
-                dispatch_cycles=EMCALL_DISPATCH_CYCLES,
-                transfer_cycles=Mailbox.TRANSFER_CYCLES,
-                service_cycles=response.service_cycles,
-                jitter_cycles=jitter, polls=polls,
-                enclave_id=request.enclave_id, core_id=core.core_id,
-                attempts=attempts)
-        if self.san is not None:
-            self.san.on_invocation(primitive.value, response.status.value,
-                                   cs_cycles)
-        return InvokeResult(response=response, cs_cycles=cs_cycles,
-                            attempts=attempts)
-
-    # -- the batched fast path -------------------------------------------------------------
+        calls = ((primitive, args),)
+        _check(calls, core, batch=False)
+        return self._transact(calls, core, batch=False)
 
     def invoke_batch(self, calls: list[tuple[Primitive, dict[str, Any]]], *,
                      core: CSCore) -> BatchInvokeResult | DegradedResult:
@@ -392,159 +320,153 @@ class EMCall:
         submission order with *per-element* status: a failing element
         reports its own error without poisoning its siblings.
 
-        Retry semantics compose with the PR-2 hardening: every element
-        carries its own idempotency key, so a timed-out envelope is
-        re-sent whole but the EMS replays (not re-applies) the elements
-        it already served, and elements answered ``TRANSIENT`` are
-        re-sent alone in a shrunken follow-up envelope — only the
-        non-acknowledged suffix ever travels again.
+        Every element carries its own idempotency key, so a timed-out
+        envelope is re-sent whole but the EMS replays (not re-applies)
+        the elements it already served, and elements answered
+        ``TRANSIENT`` are re-sent alone in a shrunken follow-up envelope —
+        only the non-acknowledged suffix ever travels again.
 
         Context-switching primitives (EENTER/ERESUME/EEXIT) are scalar
         only; a batch containing one raises :class:`EMCallError`.
         """
-        if not calls:
-            raise EMCallError("invoke_batch needs at least one call")
-        if len(calls) > EMCALL_BATCH_MAX:
-            raise EMCallError(
-                f"batch of {len(calls)} exceeds EMCALL_BATCH_MAX="
-                f"{EMCALL_BATCH_MAX}")
-        if self._ems_pump is None:
-            raise EMCallError("EMS not attached; secure boot incomplete?")
-        for primitive, _ in calls:
-            if primitive in _UNBATCHABLE:
-                raise EMCallError(
-                    f"{primitive.value} switches the core context and "
-                    "cannot be batched")
-            required = PRIMITIVE_PRIVILEGE[primitive]
-            if core.privilege is not required:
-                raise PrivilegeViolation(
-                    f"{primitive.value} requires {required.name}, "
-                    f"core {core.core_id} is at {core.privilege.name}")
+        _check(calls, core, batch=True)
+        return self._transact(calls, core, batch=True)
 
-        policy = self.retry_policy
+    def _transact(self, calls: Calls, core: CSCore, *, batch: bool,
+                  ) -> InvokeResult | BatchInvokeResult | DegradedResult:
+        """The retry loop of one (already checked) call of N elements.
+
+        Each attempt sends the pending elements — as one envelope for a
+        batch, as a bare request for a scalar call — pumps and polls up
+        to the deadline, and keeps every answer except ``TRANSIENT`` ones,
+        which travel again after a backoff.
+        """
+        pump = self._ems_pump
+        if pump is None:
+            raise EMCallError("EMS not attached; secure boot incomplete?")
+        mailbox = self.mailbox
+        request_ids = self._request_ids
+        enclave_id = core.current_enclave_id   # hardware-stamped identity
+        privilege = core.privilege
         n = len(calls)
         #: Stable per-element idempotency keys: a replayed element is the
         #: *same* logical operation however many envelopes carry it.
-        keys = [f"c{core.core_id}-k{next(self._idempotency_ids)}"
-                for _ in calls]
-        deadline_polls = max(
-            EMCALL_DEADLINE_POLLS.get(primitive.value,
-                                      EMCALL_DEFAULT_DEADLINE_POLLS)
-            for primitive, _ in calls)
-
-        final: dict[int, PrimitiveResponse] = {}
-        pending = list(range(n))
+        first_key = self._next_key
+        self._next_key += n
+        final: list[PrimitiveResponse | None] = [None] * n
+        pending: Sequence[int] = range(n)
+        #: Cycles beyond the clean-path formula: extra polls, backoff
+        #: waits, and injected fabric latency — all CS-visible.
         extra_cycles = 0
-        batch_ids: list[int] = []
-        attempts = 0
-        polls = 0
+        service_cycles = 0
+        sent: list[int] = []
+        attempts = polls = 0
 
-        while pending and attempts < policy.max_attempts:
+        while pending and attempts < self.retry_policy.max_attempts:
             attempts += 1
-            elements = tuple(
-                PrimitiveRequest(
-                    request_id=next(self._request_ids),
-                    primitive=calls[i][0],
-                    enclave_id=core.current_enclave_id,  # hardware-stamped
-                    privilege=core.privilege,
-                    args=dict(calls[i][1]),
-                    idempotency_key=keys[i])
-                for i in pending)
-            batch = BatchRequest(batch_id=next(self._request_ids),
-                                 requests=elements)
-            batch_ids.append(batch.batch_id)
+            elements = [
+                PrimitiveRequest(next(request_ids), calls[i][0], enclave_id,
+                                 privilege, dict(calls[i][1]),
+                                 first_key + i)
+                for i in pending]
+            packet = (BatchRequest(next(request_ids), elements) if batch
+                      else elements[0])
+            packet_id = packet.request_id
+            sent.append(packet_id)
             try:
-                self.mailbox.push_request(batch)
+                mailbox.push_request(packet)
             except MailboxError:
-                extra_cycles += self._batch_backoff(attempts,
-                                                    core.current_enclave_id)
+                # Queue full (real backlog or injected burst): the
+                # transmitter backs off and re-sends.
+                extra_cycles += self._backoff(calls, batch, attempts,
+                                              enclave_id)
                 continue
+            # Both transfer legs cross the iHub; latency spikes land here.
             extra_cycles += \
-                self.mailbox.transfer_cycles("request") - Mailbox.TRANSFER_CYCLES
+                mailbox.transfer_cycles("request") - Mailbox.TRANSFER_CYCLES
 
-            self._ems_pump()
-            response = self.mailbox.poll_response(batch.batch_id)
+            pump()
+            response = mailbox.poll_response(packet_id)
             polls = 1
-            while response is None and polls < deadline_polls:
-                self._ems_pump()
-                response = self.mailbox.poll_response(batch.batch_id)
-                polls += 1
-            extra_cycles += EMCALL_POLL_INTERVAL_CYCLES * (polls - 1)
-
             if response is None:
-                # Envelope (or its response) lost: release the slot and
-                # re-send the whole remaining suffix; idempotency keys
-                # make the EMS replay what it already applied.
-                self.mailbox.cancel_request(batch.batch_id)
+                deadline_polls = _deadline(calls)
+                while response is None and polls < deadline_polls:
+                    pump()
+                    response = mailbox.poll_response(packet_id)
+                    polls += 1
+                # Only polls beyond the first cost cycles: the clean
+                # synchronous path is charged exactly as before hardening.
+                extra_cycles += EMCALL_POLL_INTERVAL_CYCLES * (polls - 1)
+            if response is None:
+                # Deadline expired: release the slot (late responses
+                # become stale) and re-send what is pending; idempotency
+                # keys make the EMS replay what it already applied.
+                mailbox.cancel_request(packet_id)
                 if self.obs is not None:
                     self.obs.record_emcall_timeout(
-                        "BATCH", attempts,
-                        enclave_id=core.current_enclave_id)
-                extra_cycles += self._batch_backoff(attempts,
-                                                    core.current_enclave_id)
+                        _label(calls, batch), attempts,
+                        enclave_id=enclave_id)
+                extra_cycles += self._backoff(calls, batch, attempts,
+                                              enclave_id)
                 continue
-            if not isinstance(response, BatchResponse) or \
-                    response.batch_id != batch.batch_id:
+            if isinstance(response, BatchResponse) is not batch:
                 raise EMCallError(
-                    f"mailbox delivered {response!r} for batch "
-                    f"{batch.batch_id}")
-            extra_cycles += \
-                self.mailbox.transfer_cycles("response") - Mailbox.TRANSFER_CYCLES
-
-            still_pending: list[int] = []
-            for index, element_response in zip(pending, response.responses):
-                if element_response.status is ResponseStatus.TRANSIENT:
-                    # The handler crashed before touching state; only
-                    # this element re-travels (the shrunken suffix).
-                    still_pending.append(index)
+                    f"mailbox delivered {response!r} for request {packet_id}")
+            responses = response.responses if batch else (response,)
+            # A scalar TRANSIENT answer is re-sent before its response
+            # leg is charged; a batch envelope always crossed back.
+            if batch or response.status is not _TRANSIENT:
+                extra_cycles += mailbox.transfer_cycles("response") \
+                    - Mailbox.TRANSFER_CYCLES
+            retry: list[int] = []
+            for index, element in zip(pending, responses):
+                if element.status is _TRANSIENT:
+                    # The handler failed before touching state; only this
+                    # element re-travels (the shrunken suffix).
+                    retry.append(index)
                 else:
-                    final[index] = element_response
-            pending = still_pending
+                    final[index] = element
+                    service_cycles += element.service_cycles
+            pending = retry
             if pending:
-                extra_cycles += self._batch_backoff(attempts,
-                                                    core.current_enclave_id)
+                extra_cycles += self._backoff(calls, batch, attempts,
+                                              enclave_id)
 
         if pending:
-            waited = extra_cycles + EMCALL_DISPATCH_CYCLES
-            unresolved = calls[pending[0]][0]
-            if policy.degrade:
-                if self.obs is not None:
-                    self.obs.record_emcall_degraded(
-                        "BATCH", attempts,
-                        enclave_id=core.current_enclave_id)
-                return DegradedResult(
-                    primitive=unresolved, attempts=attempts,
-                    cs_cycles=waited,
-                    reason=f"{len(pending)} of {n} batch elements "
-                           f"unacknowledged within {deadline_polls} polls x "
-                           f"{attempts} attempts",
-                    request_ids=tuple(batch_ids))
-            if self.obs is not None:
-                self.obs.trip_flightrec(
-                    "emcall-batch-timeout",
-                    primitive=f"BATCH[{unresolved.value}]",
-                    attempts=attempts, deadline_polls=deadline_polls,
-                    waited_cycles=waited, pending=len(pending),
-                    batch_size=n, enclave_id=core.current_enclave_id)
-            raise EMCallTimeout(f"BATCH[{unresolved.value}]", attempts,
-                                deadline_polls, waited)
+            return self._give_up(calls, batch, pending, attempts,
+                                 extra_cycles + EMCALL_DISPATCH_CYCLES,
+                                 sent, enclave_id)
 
-        responses = tuple(final[i] for i in range(n))
-        self._apply_batch_cs_actions(core, responses)
-
-        jitter = self._rng.randint(0, EMCALL_POLL_JITTER_CYCLES,
-                                   stream="emcall-jitter")
-        ems_to_cs = CS_CORE_FREQ_HZ / EMS_CORE_FREQ_HZ
-        service_cycles = sum(r.service_cycles for r in responses)
-        transfer_cycles = (Mailbox.TRANSFER_CYCLES
-                           + (n - 1) * MAILBOX_BATCH_PER_REQ_CYCLES)
+        self._apply_cs_actions(core, final)
+        jitter = self._jitter.randrange(EMCALL_POLL_JITTER_CYCLES + 1)
         dispatch_cycles = (EMCALL_DISPATCH_CYCLES
                            + (n - 1) * EMCALL_BATCH_PER_REQ_CYCLES)
+        transfer_cycles = (Mailbox.TRANSFER_CYCLES
+                           + (n - 1) * MAILBOX_BATCH_PER_REQ_CYCLES)
         cs_cycles = (dispatch_cycles
                      + 2 * transfer_cycles
-                     + int(service_cycles * ems_to_cs)
+                     + int(service_cycles * _EMS_TO_CS)
                      + jitter
                      + extra_cycles)
+        if not batch:
+            response = final[0]
+            if self.obs is not None:
+                self.obs.record_invocation(
+                    primitive=calls[0][0].value,
+                    status=response.status.value,
+                    request_id=response.request_id, cs_cycles=cs_cycles,
+                    dispatch_cycles=dispatch_cycles,
+                    transfer_cycles=transfer_cycles,
+                    service_cycles=response.service_cycles,
+                    jitter_cycles=jitter, polls=polls,
+                    enclave_id=enclave_id, core_id=core.core_id,
+                    attempts=attempts)
+            if self.san is not None:
+                self.san.on_invocation(calls[0][0].value,
+                                       response.status.value, cs_cycles)
+            return InvokeResult(response, cs_cycles, attempts)
+
+        responses = tuple(final)
         if self.obs is not None:
             self.obs.record_batch_invocation(
                 primitives=[p.value for p, _ in calls],
@@ -554,10 +476,9 @@ class EMCall:
                 service_cycles=[r.service_cycles for r in responses],
                 request_ids=[r.request_id for r in responses],
                 jitter_cycles=jitter, polls=polls,
-                enclave_id=core.current_enclave_id, core_id=core.core_id,
+                enclave_id=enclave_id, core_id=core.core_id,
                 attempts=attempts)
-        result = BatchInvokeResult(responses=responses, cs_cycles=cs_cycles,
-                                   attempts=attempts)
+        result = BatchInvokeResult(responses, cs_cycles, attempts)
         if self.san is not None:
             for (primitive, _), response, cycles in zip(
                     calls, responses, result.per_request_cycles()):
@@ -565,83 +486,87 @@ class EMCall:
                                        response.status.value, cycles)
         return result
 
-    def _batch_backoff(self, attempt: int,
-                       enclave_id: int | None = None) -> int:
-        """Backoff before a batch re-send (same policy as the scalar gate)."""
-        return self._backoff_named("BATCH", attempt, enclave_id)
+    def _give_up(self, calls: Calls, batch: bool, pending: Sequence[int],
+                 attempts: int, waited: int, sent: list[int],
+                 enclave_id: int | None) -> DegradedResult:
+        """Retries exhausted: a :class:`DegradedResult` or a typed timeout."""
+        deadline_polls = _deadline(calls)
+        unresolved = calls[pending[0]][0]
+        budget = f"within {deadline_polls} polls x {attempts} attempts"
+        if batch:
+            name = f"BATCH[{unresolved.value}]"
+            reason = (f"{len(pending)} of {len(calls)} batch elements "
+                      f"unacknowledged {budget}")
+            detail = {"pending": len(pending), "batch_size": len(calls)}
+        else:
+            name = unresolved.value
+            reason = f"no response {budget}"
+            detail = {}
+        if self.retry_policy.degrade:
+            if self.obs is not None:
+                self.obs.record_emcall_degraded(
+                    _label(calls, batch), attempts, enclave_id=enclave_id)
+            return DegradedResult(
+                primitive=unresolved, attempts=attempts, cs_cycles=waited,
+                reason=reason, request_ids=tuple(sent))
+        if self.obs is not None:
+            self.obs.trip_flightrec(
+                "emcall-batch-timeout" if batch else "emcall-timeout",
+                primitive=name, attempts=attempts,
+                deadline_polls=deadline_polls, waited_cycles=waited,
+                **detail, enclave_id=enclave_id)
+        raise EMCallTimeout(name, attempts, deadline_polls, waited)
 
-    def _apply_batch_cs_actions(self, core: CSCore,
-                                responses: tuple[PrimitiveResponse, ...]) -> None:
-        """Apply CS-side actions for a whole batch, flushes coalesced.
-
-        Bitmap-change TLB shootdowns across the batch are merged into a
-        *single* cross-core flush over the union of frames — one IPI
-        storm instead of N (the Fig. 11 cost paid once). Context actions
-        cannot appear here (context primitives are unbatchable).
-        """
-        frames_union: list[int] = []
-        seen: set[int] = set()
-        flush_all = False
-        for response in responses:
-            actions = response.result.get("cs_actions")
-            if not actions:
-                continue
-            for frame in actions.get("flush_frames") or ():
-                if frame not in seen:
-                    seen.add(frame)
-                    frames_union.append(frame)
-            if actions.get("flush_all"):
-                flush_all = True
-        if frames_union:
-            self.flush_tlbs_for_bitmap_change(frames_union)
-        if flush_all:
-            for other in self._cores:
-                other.tlb.flush_all()
-
-    def _backoff(self, primitive: Primitive, attempt: int,
-                 enclave_id: int | None = None) -> int:
-        """Cycles of exponential backoff (with jitter) before a re-send."""
-        return self._backoff_named(primitive.value, attempt, enclave_id)
-
-    def _backoff_named(self, label: str, attempt: int,
-                       enclave_id: int | None = None) -> int:
-        """Backoff implementation shared by the scalar and batch gates.
+    def _backoff(self, calls: Calls, batch: bool, attempt: int,
+                 enclave_id: int | None) -> int:
+        """Cycles of exponential backoff (with jitter) before a re-send.
 
         Drawn from a dedicated RNG stream that is only touched on actual
         retries, so clean-weather runs consume no extra randomness.
         """
-        if attempt >= self.retry_policy.max_attempts:
+        policy = self.retry_policy
+        if attempt >= policy.max_attempts:
             return 0  # no re-send follows; nothing to wait for
-        wait = self.retry_policy.backoff_base_cycles * (2 ** (attempt - 1))
-        jitter = self._rng.randint(
-            0, self.retry_policy.backoff_jitter_cycles,
-            stream="emcall-backoff")
+        wait = policy.backoff_base_cycles * (2 ** (attempt - 1))
+        jitter = self._rng.randint(0, policy.backoff_jitter_cycles,
+                                   stream="emcall-backoff")
         if self.obs is not None:
-            self.obs.record_emcall_retry(label, attempt, wait + jitter,
+            self.obs.record_emcall_retry(_label(calls, batch), attempt,
+                                         wait + jitter,
                                          enclave_id=enclave_id)
         return wait + jitter
 
     # -- CS-side effects the EMS cannot perform itself ------------------------------------------
 
-    def _apply_cs_actions(self, core: CSCore, response: PrimitiveResponse) -> None:
-        """Perform register/TLB updates the response requests, atomically.
+    def _apply_cs_actions(self, core: CSCore,
+                          responses: list[PrimitiveResponse]) -> None:
+        """Perform register/TLB updates the responses request, atomically.
 
         The EMS manages enclave control structures, but CS core registers
         are unreachable from the EMS; EMCall applies those updates with
-        interrupts deferred (Section III-B, mechanism 4).
+        interrupts deferred (Section III-B, mechanism 4). Bitmap-change
+        shootdowns across a batch merge into a *single* cross-core flush
+        over the union of frames — one IPI storm instead of N (the Fig. 11
+        cost paid once). Context actions come only from the unbatchable
+        primitives, so a batch never carries one.
         """
-        actions = response.result.get("cs_actions")
-        if not actions:
-            return
-        enter = actions.get("enter_context")
-        if enter is not None:
-            core.enter_enclave_context(enter["enclave_id"], enter["page_table"])
-        if actions.get("exit_context"):
-            core.exit_enclave_context()
-        frames = actions.get("flush_frames")
+        frames: dict[int, None] = {}
+        flush_all = False
+        for response in responses:
+            actions = response.result.get("cs_actions")
+            if not actions:
+                continue
+            enter = actions.get("enter_context")
+            if enter is not None:
+                core.enter_enclave_context(enter["enclave_id"],
+                                           enter["page_table"])
+            if actions.get("exit_context"):
+                core.exit_enclave_context()
+            frames.update(dict.fromkeys(actions.get("flush_frames") or ()))
+            flush_all = flush_all or bool(actions.get("flush_all"))
         if frames:
-            self.flush_tlbs_for_bitmap_change(frames)
-        if actions.get("flush_all"):
+            self.flush_tlbs_for_bitmap_change(list(frames))
+        if flush_all:
             for other in self._cores:
                 other.tlb.flush_all()
 
@@ -711,9 +636,9 @@ class ShardedEMCall:
     transfer overrides, injected by the system as callbacks so the CS
     layer never touches EMS state) and delegates to that shard's
     ordinary :class:`EMCall`, which owns that shard's mailbox.
-    Validation — privilege, batchability, batch size —
-    mirrors the single-gate checks byte-for-byte and runs before any
-    routing side effect, so rejected calls mint no IDs on any shard.
+    Validation — privilege, batchability, batch size — is the single
+    gate's own check, run before any routing side effect, so rejected
+    calls mint no IDs on any shard.
 
     ECREATE is the special case: the new enclave has no ID yet, so the
     gate asks the shard pool's placement callback for one. The pool
@@ -810,12 +735,18 @@ class ShardedEMCall:
     # -- routing ----------------------------------------------------------------
 
     def _route(self, primitive: Primitive, args: dict[str, Any],
-               core: CSCore) -> int:
-        """The shard index serving this (already validated) call."""
+               core: CSCore) -> tuple[dict[str, Any], int]:
+        """The shard serving this (already checked) call, and its args.
+
+        ECREATE gets its platform-global ID stamped in here.
+        """
+        if primitive is Primitive.ECREATE and self._place is not None:
+            enclave_id, shard = self._place()
+            return {**args, "preassigned_id": enclave_id}, shard
         if primitive is Primitive.EWB:
             shard = self._ewb_next
             self._ewb_next = (self._ewb_next + 1) % len(self._gates)
-            return shard
+            return args, shard
         if primitive in _OS_TARGETED:
             target = args.get("enclave_id")
         else:
@@ -823,55 +754,26 @@ class ShardedEMCall:
         if not isinstance(target, int):
             # Malformed or absent target: shard 0's runtime issues the
             # same sanity reject a single EMS would.
-            return 0
-        return self._resolve(target)
-
-    def _check_privilege(self, primitive: Primitive, core: CSCore) -> None:
-        required = PRIMITIVE_PRIVILEGE[primitive]
-        if core.privilege is not required:
-            raise PrivilegeViolation(
-                f"{primitive.value} requires {required.name}, "
-                f"core {core.core_id} is at {core.privilege.name}")
+            return args, 0
+        return args, self._resolve(target)
 
     # -- the invocation path ------------------------------------------------------
 
     def invoke(self, primitive: Primitive, args: dict[str, Any], *,
                core: CSCore) -> InvokeResult | DegradedResult:
         """Route one primitive to its owning shard's gate."""
-        self._check_privilege(primitive, core)
-        if primitive is Primitive.ECREATE and self._place is not None:
-            enclave_id, shard = self._place()
-            args = dict(args)
-            args["preassigned_id"] = enclave_id
-            return self._gates[shard].invoke(primitive, args, core=core)
-        shard = self._route(primitive, args, core)
+        _check(((primitive, args),), core, batch=False)
+        args, shard = self._route(primitive, args, core)
         return self._gates[shard].invoke(primitive, args, core=core)
 
     def invoke_batch(self, calls: list[tuple[Primitive, dict[str, Any]]], *,
                      core: CSCore) -> BatchInvokeResult | DegradedResult:
         """Split a batch across the owning shards; reassemble in order."""
-        if not calls:
-            raise EMCallError("invoke_batch needs at least one call")
-        if len(calls) > EMCALL_BATCH_MAX:
-            raise EMCallError(
-                f"batch of {len(calls)} exceeds EMCALL_BATCH_MAX="
-                f"{EMCALL_BATCH_MAX}")
-        for primitive, _ in calls:
-            if primitive in _UNBATCHABLE:
-                raise EMCallError(
-                    f"{primitive.value} switches the core context and "
-                    "cannot be batched")
-            self._check_privilege(primitive, core)
-
+        _check(calls, core, batch=True)
         routed: list[tuple[Primitive, dict[str, Any]]] = []
         shards: list[int] = []
         for primitive, args in calls:
-            if primitive is Primitive.ECREATE and self._place is not None:
-                enclave_id, shard = self._place()
-                args = dict(args)
-                args["preassigned_id"] = enclave_id
-            else:
-                shard = self._route(primitive, args, core)
+            args, shard = self._route(primitive, args, core)
             routed.append((primitive, args))
             shards.append(shard)
 

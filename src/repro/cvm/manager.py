@@ -106,7 +106,7 @@ class CVMManager:
         if platform is None:
             raise AttestationError("platform not measured")
         signature, _ = self._crypto.sign(
-            self._keys.platform_signing_key(),
+            self._keys.platform_signer(),
             b"platform-binding" + platform
             + self._dh.public.to_bytes(256, "little"))
         return self._dh.public, Certificate("platform", platform, b"",

@@ -8,6 +8,11 @@ This manager owns:
 * derivation of enclave memory keys, shared-memory keys, attestation
   keys (SK + random salt), report keys, and sealing keys;
 * erasure: retired keys are overwritten with random values.
+
+The two long-lived signing keys — the EK-derived platform key and the
+AK — are derived once and held with their HMAC state (a
+:class:`~repro.crypto.hashes.MacKey`), so EATTEST signs without
+re-deriving or re-keying. Report and sealing keys stay one-off.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import itertools
 
 from repro.common.rng import DeterministicRng
+from repro.crypto.hashes import MacKey
 from repro.crypto.keys import KeyDerivation, RootKeys
 from repro.hw.devices import EFuse
 from repro.hw.encryption_engine import MemoryEncryptionEngine
@@ -35,7 +41,10 @@ class KeyManager:
         self._keyid_counter = itertools.count(1)
         #: keyid -> key, for erase-on-release. EMS-private state.
         self._live_keys: dict[int, bytes] = {}
+        self._platform_key = self._kdf.platform_signing_key()
+        self._platform_signer = MacKey(self._platform_key)
         self._attestation_salt = rng.randbytes(16, stream="ak-salt")
+        self._install_attestation_key()
         #: Runtime sanitizer manager (None = off); see repro.sanitize.
         #: Every key this manager mints or installs is registered as
         #: taint at the moment it exists — the SECRET sanitizer's source.
@@ -98,14 +107,25 @@ class KeyManager:
             self._kdf.shared_memory_key(sender_enclave_id, shm_id),
             f"shared-memory-key-shm{shm_id}")
 
+    def _install_attestation_key(self) -> None:
+        """Derive the AK of the live salt and build its HMAC state."""
+        self._attestation_key = self._kdf.attestation_key(
+            self._attestation_salt)
+        self._attestation_signer = MacKey(self._attestation_key)
+
     def attestation_key(self) -> bytes:
         """The current AK (SK + the live salt)."""
-        return self._minted(self._kdf.attestation_key(self._attestation_salt),
-                            "attestation-key")
+        return self._minted(self._attestation_key, "attestation-key")
+
+    def attestation_signer(self) -> MacKey:
+        """The current AK's HMAC state, built once per salt."""
+        self.attestation_key()
+        return self._attestation_signer
 
     def rotate_attestation_key(self) -> None:
         """Draw a fresh salt; prior AK becomes unreproducible."""
         self._attestation_salt = self._rng.randbytes(16, stream="ak-salt")
+        self._install_attestation_key()
 
     def report_key(self, challenger_measurement: bytes) -> bytes:
         """Local-attestation report key bound to the challenger."""
@@ -119,5 +139,9 @@ class KeyManager:
 
     def platform_signing_key(self) -> bytes:
         """EK-derived key signing platform measurements."""
-        return self._minted(self._kdf.platform_signing_key(),
-                            "platform-signing-key")
+        return self._minted(self._platform_key, "platform-signing-key")
+
+    def platform_signer(self) -> MacKey:
+        """The platform-signing key's HMAC state, built once at boot."""
+        self.platform_signing_key()
+        return self._platform_signer

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.common.packets import (
     BatchRequest,
@@ -198,18 +198,31 @@ class EMSRuntime:
         requests = self.mailbox.fetch_requests()
         if not requests:
             return 0
-        self._rng.stream("ems-schedule").shuffle(requests)
+        if len(requests) > 1:
+            # Shuffling one request would draw nothing; skip the call.
+            self._rng.stream("ems-schedule").shuffle(requests)
         if self.obs is not None:
             self.obs.record_ems_pump(len(requests))
         for request in requests:
             if isinstance(request, BatchRequest):
-                self._serve_batch(request)
-                continue
-            response = self.dispatch(request)
-            response = self._post_response(response)
-            # Round-robin assignment across the EMS cores: concurrent
-            # requests land on different cores (Section III-C), which the
-            # utilization stats and the Fig. 6 queueing model reflect.
+                response = self._post_response(self.dispatch_batch(request))
+                self.stats.batches_served += 1
+                self.stats.batched_elements += len(request)
+                self._account(request.requests, response.responses)
+            else:
+                response = self._post_response(self.dispatch(request))
+                self._account((request,), (response,))
+        return len(requests)
+
+    def _account(self, requests: Sequence[PrimitiveRequest],
+                 responses: Sequence[PrimitiveResponse]) -> None:
+        """Per-element service accounting, hooks, and core rotation.
+
+        Round-robin assignment across the EMS cores: concurrent requests
+        land on different cores (Section III-C), which the utilization
+        stats and the Fig. 6 queueing model reflect.
+        """
+        for request, response in zip(requests, responses):
             self.stats.per_core_cycles[self._next_core] += \
                 response.service_cycles
             if self.obs is not None:
@@ -225,41 +238,15 @@ class EMSRuntime:
                                          response.status.value,
                                          response.service_cycles)
             self._next_core = (self._next_core + 1) % self.num_cores
-        return len(requests)
 
-    def _serve_batch(self, batch: BatchRequest) -> None:
-        """Dispatch every element of one batch envelope, post one response.
+    def dispatch_batch(self, batch: BatchRequest) -> BatchResponse:
+        """Run each element through the full scalar dispatch pipeline.
 
         Elements run in submission order (they are independent by the
         batch API contract, and submission order is exactly how the
         scalar path would have serialized them — the differential suite
         pins this). Each element gets its own status; a failing element
-        never poisons its siblings. Idempotency keys are honoured per
-        element, so a replayed batch re-executes only what the EMS never
-        applied.
-        """
-        response = self.dispatch_batch(batch)
-        response = self._post_response(response)
-        self.stats.batches_served += 1
-        self.stats.batched_elements += len(batch)
-        for element, sub in zip(batch.requests, response.responses):
-            self.stats.per_core_cycles[self._next_core] += sub.service_cycles
-            if self.obs is not None:
-                self.obs.record_ems_dispatch(
-                    request_id=element.request_id,
-                    primitive=element.primitive.value,
-                    status=sub.status.value,
-                    service_cycles=sub.service_cycles,
-                    core_index=self._next_core,
-                    enclave_id=element.enclave_id)
-            if self.san is not None:
-                self.san.on_ems_dispatch(element.primitive.value,
-                                         sub.status.value,
-                                         sub.service_cycles)
-            self._next_core = (self._next_core + 1) % self.num_cores
-
-    def dispatch_batch(self, batch: BatchRequest) -> BatchResponse:
-        """Run each element through the full scalar dispatch pipeline.
+        never poisons its siblings.
 
         Sanity checks, idempotent replay, and the per-element fault
         points (``ems.handler.exception`` among them) all apply to every

@@ -81,14 +81,6 @@ class MailboxStats:
     batched_requests: int = 0
 
 
-@dataclasses.dataclass
-class _Envelope:
-    """One packet in flight, with its transport metadata."""
-
-    packet: RequestPacket | ResponsePacket
-    corrupted: bool = False
-
-
 class Mailbox:
     """The hardware FIFO pair inside iHub."""
 
@@ -97,8 +89,11 @@ class Mailbox:
 
     def __init__(self, capacity: int = 256) -> None:
         self.capacity = capacity
-        self._requests: collections.deque[_Envelope] = collections.deque()
-        self._responses: dict[int, _Envelope] = {}
+        #: Packets in flight with their transport metadata: (packet,
+        #: corrupted). A CRC-broken packet is discarded where it lands.
+        self._requests: collections.deque[tuple[RequestPacket, bool]] = \
+            collections.deque()
+        self._responses: dict[int, tuple[ResponsePacket, bool]] = {}
         self._outstanding: set[int] = set()
         #: Request ids EMCall gave up on; late responses for them are
         #: stale and silently discarded (counted).
@@ -160,12 +155,13 @@ class Mailbox:
                 raise MailboxError("request queue full (injected burst)")
         if len(self._requests) >= self.capacity:
             raise MailboxError("request queue full")
-        if request.request_id in self._outstanding:
-            raise MailboxError(f"duplicate request id {request.request_id}")
+        request_id = request.request_id
+        if request_id in self._outstanding:
+            raise MailboxError(f"duplicate request id {request_id}")
         # The CS-side slot is claimed even when the packet is lost in
         # flight: EMCall owns the id and polls it until its deadline.
-        self._outstanding.add(request.request_id)
-        self._cancelled.discard(request.request_id)
+        self._outstanding.add(request_id)
+        self._cancelled.discard(request_id)
         self.stats.requests_sent += 1
         if isinstance(request, BatchRequest):
             self.stats.batches_sent += 1
@@ -177,14 +173,12 @@ class Mailbox:
                 self.faults.fires("mailbox.request.drop"):
             self.stats.requests_dropped += 1
             return
-        envelope = _Envelope(request)
-        if self.faults is not None and \
-                self.faults.fires("mailbox.request.corrupt"):
-            envelope.corrupted = True
+        envelope = (request, self.faults is not None and
+                    self.faults.fires("mailbox.request.corrupt") is not None)
         self._requests.append(envelope)
         if self.faults is not None and \
                 self.faults.fires("mailbox.request.duplicate"):
-            self._requests.append(dataclasses.replace(envelope))
+            self._requests.append(envelope)
         self.irq_pending = True
         self.stats.irqs_raised += 1
         if self.obs is not None:
@@ -204,14 +198,15 @@ class Mailbox:
         envelope = self._responses.pop(request_id, None)
         if envelope is None:
             return None
-        if envelope.corrupted:
+        response, corrupted = envelope
+        if corrupted:
             self.stats.corrupt_discards += 1
             if self.obs is not None:
                 self.obs.record_mailbox_reject("response_corrupt")
             return None
         self._outstanding.discard(request_id)
         self.stats.responses_delivered += 1
-        return envelope.packet
+        return response
 
     def cancel_request(self, request_id: int) -> None:
         """EMCall releases a slot after its poll deadline expired.
@@ -242,13 +237,12 @@ class Mailbox:
         """
         out: list[RequestPacket] = []
         while self._requests and (max_count is None or len(out) < max_count):
-            envelope = self._requests.popleft()
-            if envelope.corrupted:
+            request, corrupted = self._requests.popleft()
+            if corrupted:
                 self.stats.corrupt_discards += 1
                 if self.obs is not None:
                     self.obs.record_mailbox_reject("request_corrupt")
                 continue
-            request = envelope.packet
             if request.request_id in self._seen_ids:
                 self.stats.duplicate_discards += 1
                 if self.obs is not None:
@@ -277,7 +271,8 @@ class Mailbox:
             # Scanned before any delivery outcome: a stale or rejected
             # response still crossed the fabric with its payload.
             self.san.on_wire_packet(response, "response")
-        if response.request_id in self._cancelled:
+        request_id = response.request_id
+        if request_id in self._cancelled:
             self.stats.stale_responses += 1
             if self.obs is not None:
                 self.obs.record_mailbox_reject("response_stale")
@@ -287,21 +282,19 @@ class Mailbox:
             if self.obs is not None:
                 self.obs.record_mailbox_reject("response_queue_full")
             raise MailboxError("response queue full")
-        if response.request_id not in self._outstanding:
+        if request_id not in self._outstanding:
             raise MailboxError(
-                f"response for unknown request id {response.request_id}")
-        if response.request_id in self._responses:
+                f"response for unknown request id {request_id}")
+        if request_id in self._responses:
             raise MailboxError(
-                f"duplicate response for request id {response.request_id}")
+                f"duplicate response for request id {request_id}")
         if self.faults is not None and \
                 self.faults.fires("mailbox.response.drop"):
             self.stats.responses_dropped += 1
             return
-        envelope = _Envelope(response)
-        if self.faults is not None and \
-                self.faults.fires("mailbox.response.corrupt"):
-            envelope.corrupted = True
-        self._responses[response.request_id] = envelope
+        self._responses[request_id] = (
+            response, self.faults is not None and
+            self.faults.fires("mailbox.response.corrupt") is not None)
         if self.faults is not None and \
                 self.faults.fires("mailbox.response.duplicate"):
             # The duplicate copy hits the CS Rx sequence check and is

@@ -178,25 +178,26 @@ class PageTable:
 
     def unmap(self, vpn: int) -> bool:
         """Invalidate the leaf PTE. Returns False if nothing was mapped."""
-        leaf = self._find_leaf(vpn)
-        if leaf is None:
+        leaf = self.walk(vpn)
+        if leaf is None or not leaf[2] & _V_BIT:
             return False
-        frame, index = leaf
-        if not DecodedPTE.from_word(self.read_pte_word(frame, index)).valid:
-            return False
-        self.write_pte_word(frame, index, 0)
+        self.write_pte_word(leaf[0], leaf[1], 0)
         return True
 
     def lookup(self, vpn: int) -> DecodedPTE | None:
         """Software walk without side effects (owner's own view)."""
-        leaf = self._find_leaf(vpn)
+        leaf = self.walk(vpn)
         if leaf is None:
             return None
-        frame, index = leaf
-        pte = DecodedPTE.from_word(self.read_pte_word(frame, index))
+        pte = DecodedPTE.from_word(leaf[2])
         return pte if pte.valid else None
 
-    def _find_leaf(self, vpn: int) -> tuple[int, int] | None:
+    def walk(self, vpn: int) -> tuple[int, int, int] | None:
+        """One walk to ``vpn``'s leaf: its table frame, index and word.
+
+        ``None`` when an intermediate level is invalid; the leaf word
+        itself may still be invalid.
+        """
         frame = self.root_frame
         indices = self._indices(vpn)
         for index in indices[:-1]:
@@ -204,21 +205,26 @@ class PageTable:
             if not pte.valid:
                 return None
             frame = pte.ppn
-        return frame, indices[-1]
+        return frame, indices[-1], self.read_pte_word(frame, indices[-1])
 
     def set_flags(self, vpn: int, accessed: bool | None = None,
                   dirty: bool | None = None) -> None:
-        """Set/clear A/D flags on a leaf PTE (walker and OS both use this)."""
-        leaf = self._find_leaf(vpn)
+        """Set/clear A/D flags on a leaf PTE (walker and OS both use this).
+
+        The leaf is written back only when its word changes; rewriting the
+        same word would store the same ciphertext and MAC.
+        """
+        leaf = self.walk(vpn)
         if leaf is None:
             raise PageFault(vpn << PAGE_SHIFT, "set_flags on unmapped vpn")
-        frame, index = leaf
-        word = self.read_pte_word(frame, index)
+        frame, index, old = leaf
+        word = old
         if accessed is not None:
             word = word | _A_BIT if accessed else word & ~_A_BIT
         if dirty is not None:
             word = word | _D_BIT if dirty else word & ~_D_BIT
-        self.write_pte_word(frame, index, word)
+        if word != old:
+            self.write_pte_word(frame, index, word)
 
     def mapped_vpns(self) -> list[int]:
         """Enumerate all valid leaf VPNs (diagnostic/teardown helper)."""
@@ -310,11 +316,12 @@ class PageTableWalker:
                 keyid=entry.keyid, perm=entry.perm, tlb_hit=True,
                 bitmap_checked=False, cycles=self.TLB_HIT_CYCLES)
 
-        # TLB miss: hardware walk.
+        # TLB miss: one hardware walk, which also sets A/D below.
         self.stats.walks += 1
         cycles = self.WALK_STEP_CYCLES * LEVELS
-        pte = table.lookup(vpn)
-        if pte is None:
+        leaf = table.walk(vpn)
+        pte = None if leaf is None else DecodedPTE.from_word(leaf[2])
+        if pte is None or not pte.valid:
             self.stats.page_faults += 1
             raise PageFault(vaddr)
         if not pte.perm.allows(access):
@@ -331,9 +338,11 @@ class PageTableWalker:
                     f"non-enclave access to enclave frame {pte.ppn}")
 
         # Walker sets A (and D on stores) — the controlled-channel
-        # observable on OS-owned tables.
-        table.set_flags(vpn, accessed=True,
-                        dirty=True if access is AccessType.WRITE else None)
+        # observable on OS-owned tables. An unchanged leaf is not rewritten.
+        frame, index, word = leaf
+        flagged = word | _A_BIT | (_D_BIT if access is AccessType.WRITE else 0)
+        if flagged != word:
+            table.write_pte_word(frame, index, flagged)
         self.tlb.insert(TLBEntry(vpn=vpn, ppn=pte.ppn, perm=pte.perm,
                                  keyid=pte.keyid, asid=table.asid, checked=True))
         if self.obs is not None:

@@ -1,10 +1,16 @@
-"""Key manager: KeyID table, derivations, erasure, rotation."""
+"""Key manager: KeyID table, derivations, erasure, rotation, signers."""
 
 from __future__ import annotations
+
+import hashlib
+import hmac
 
 import pytest
 
 from repro.common.rng import DeterministicRng
+from repro.core.api import HyperTEE
+from repro.core.config import SystemConfig
+from repro.crypto.engine import CryptoEngine
 from repro.ems.key_mgmt import KeyManager
 from repro.errors import KeySlotExhausted
 from repro.hw.devices import EFuse
@@ -69,3 +75,59 @@ def test_platform_key_from_ek(keys: KeyManager):
     assert keys.platform_signing_key() != other.platform_signing_key()
     # SK-rooted keys unchanged when only EK differs.
     assert keys.sealing_key(b"m") == other.sealing_key(b"m")
+
+
+# -- the long-lived signing keys, held with their HMAC state -----------------
+
+
+@pytest.mark.parametrize("signer, key", (
+    ("platform_signer", "platform_signing_key"),
+    ("attestation_signer", "attestation_key")))
+def test_signers_mac_exactly_as_hmac_sha3(keys: KeyManager, signer: str,
+                                          key: str):
+    raw = getattr(keys, key)()
+    engine = CryptoEngine()
+    # Empty, short, and longer-than-one-block messages; each twice, so a
+    # signer state consumed by its first use would show.
+    for data in (b"", b"enclave" + b"m" * 32, bytes(range(256)) * 3) * 2:
+        signature, _ = engine.sign(getattr(keys, signer)(), data)
+        assert signature == hmac.new(raw, data, hashlib.sha3_256).digest()
+
+
+def _platform() -> HyperTEE:
+    return HyperTEE(SystemConfig(cs_memory_mb=48, ems_memory_mb=4))
+
+
+def test_rotation_rebuilds_the_attestation_signer():
+    tee = _platform()
+    keys = tee.system.keys
+    enclave = tee.launch_enclave(b"rotating-enclave")
+    ca_before = tee.system.certificate_authority()
+    old_key, old_signer = keys.attestation_key(), keys.attestation_signer()
+    keys.rotate_attestation_key()
+    ca_after = tee.system.certificate_authority()
+    with enclave.running():
+        quote = enclave.attest(report_data=b"after rotation")
+    assert ca_after.verify_quote(quote, enclave.measurement)
+    assert not ca_before.verify_quote(quote, enclave.measurement)
+    assert keys.attestation_signer() is not old_signer
+    # Nothing the manager holds is the old AK or its state any more.
+    assert not any(value is old_signer or value == old_key
+                   for value in vars(keys).values())
+
+
+def test_late_sanitizers_register_both_signing_keys_on_first_eattest():
+    tee = _platform()
+    enclave = tee.launch_enclave(b"late-sanitized")
+    keys = tee.system.keys
+    # Read before any sanitizer exists, so reading registers nothing.
+    ak, pk = keys.attestation_key(), keys.platform_signing_key()
+    tee.system.enable_sanitizers()
+    registry = tee.system.san.registry
+    assert registry.contains_secret(ak) is None
+    assert registry.contains_secret(pk) is None
+    with enclave.running():
+        enclave.attest(report_data=b"first quote")
+    assert registry.contains_secret(ak).label.startswith("attestation-key#")
+    assert registry.contains_secret(pk).label.startswith(
+        "platform-signing-key#")
