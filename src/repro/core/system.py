@@ -4,14 +4,23 @@
 
 1. physical memory with the multi-key encryption engine on its bus;
 2. the boot-time address partition (CS region / EMS-private region) and
-   the iHub enforcing unidirectional isolation, with the mailbox;
+   the iHub enforcing unidirectional isolation;
 3. the enclave bitmap in protected CS memory;
 4. manufacturing (eFuse roots, provisioned flash/EEPROM) and the secure
    boot chain, yielding the platform measurement;
-5. the CS OS, CS cores (each with TLB + bitmap-checking PTW), and the
-   EMCall firmware holding the only CS-side mailbox port;
-6. the EMS: pool, ownership, key manager, lifecycle, page/swap/shm
-   managers, attestation, sealing, and the runtime dispatcher.
+5. the CS OS and CS cores (each with TLB + bitmap-checking PTW);
+6. the EMS: the key manager, then one shard per configured EMS — its
+   mailbox, pool, ownership, lifecycle, page/swap/shm managers,
+   attestation and runtime dispatcher — all built by one
+   :meth:`HyperTEESystem._build_shard`, plus sealing and the shard pool;
+7. the EMCall firmware: one gate per shard, each holding the only
+   CS-side port of its shard's mailbox.
+
+The paper's platform is the one-shard case: a pool of one, whose
+components are the single-EMS names (``mailbox``, ``pool``, ``ems``, ...)
+and whose gate is the platform's ``emcall``. More shards put a
+:class:`~repro.cs.emcall.ShardedEMCall` router in front of the gates
+(docs/scale_out.md).
 
 Everything downstream (SDK, examples, benches, attacks) builds a system
 through this class.
@@ -19,12 +28,14 @@ through this class.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from repro.common.constants import PAGE_SHIFT, PAGE_SIZE
 from repro.common.rng import DeterministicRng
 from repro.core.config import SystemConfig
 from repro.crypto.engine import ENGINE_CRYPTO, SOFTWARE_CRYPTO, CryptoEngine
 from repro.cs.cpu import CSCore
-from repro.cs.emcall import EMCall
+from repro.cs.emcall import EMCall, ShardedEMCall
 from repro.cs.os import CSOperatingSystem
 from repro.ems import boot as secure_boot_mod
 from repro.ems.attestation import AttestationService, CertificateAuthority
@@ -35,6 +46,7 @@ from repro.ems.ownership import PageOwnershipTable
 from repro.ems.page_mgmt import PageManager
 from repro.ems.runtime import EMSRuntime
 from repro.ems.sealing import SealingService
+from repro.ems.shardpool import EMSShard, ShardPool
 from repro.ems.shared_memory import SharedMemoryManager
 from repro.ems.swapping import SwapManager
 from repro.hw.bitmap import BitmapReader, EnclaveBitmap
@@ -70,8 +82,7 @@ class HyperTEESystem:
         self.memory.encryption_engine = self.engine
         self.partition = AddressPartition(
             cs_base=0, cs_size=cs_bytes, ems_base=cs_bytes, ems_size=ems_bytes)
-        self.mailbox = Mailbox()
-        self.ihub = IHub(self.partition, self.mailbox)
+        self.ihub = IHub(self.partition)
 
         # -- enclave bitmap in protected CS memory -----------------------------
         bitmap_base = FIRMWARE_FRAMES * PAGE_SIZE
@@ -98,35 +109,28 @@ class HyperTEESystem:
         reader = BitmapReader(self.bitmap) if cfg.bitmap_checking else None
         self.cores = [CSCore(i, self.memory, self.ihub, reader, CS_CORE)
                       for i in range(cfg.cs_cores)]
-        self.emcall = EMCall(self.mailbox, self.rng, self.cores)
 
         # -- EMS side ------------------------------------------------------------------
         profile = ENGINE_CRYPTO if cfg.crypto == "engine" else SOFTWARE_CRYPTO
         self.crypto = CryptoEngine(profile)
         self.keys = KeyManager(self.efuse, self.engine, self.rng)
-        self.pool = EnclaveMemoryPool(
-            self.os, self.memory, self.rng, bitmap=self.bitmap,
-            initial_pages=cfg.pool_initial_pages)
-        self.ownership = PageOwnershipTable()
-        self.enclaves = EnclaveManager(
-            self.memory, self.pool, self.ownership, self.bitmap,
-            self.keys, self.crypto, self.rng)
-        self.pages = PageManager(self.enclaves)
-        self.swap = SwapManager(self.pool, self.keys, self.crypto, self.rng)
         self.iommu = IOMMU()
-        self.shm = SharedMemoryManager(self.enclaves, self.keys, self.ihub,
-                                       iommu=self.iommu)
-        self.attestation = AttestationService(self.enclaves, self.keys,
-                                              self.crypto)
-        self.attestation.set_platform_measurement(
-            self.boot_report.platform_measurement)
+        shards = [self._build_shard(index) for index in range(cfg.ems_shards)]
+        # Shard 0 is the paper's EMS: the single-EMS names are its parts.
+        primary = shards[0]
+        self.mailbox = primary.mailbox
+        self.pool = primary.pool
+        self.ownership = primary.ownership
+        self.enclaves = primary.enclaves
+        self.pages = primary.pages
+        self.swap = primary.swap
+        self.shm = primary.shm
+        self.attestation = primary.attestation
+        self.ems = primary.runtime
         self.sealing = SealingService(self.keys, self.rng)
-        self.ems = EMSRuntime(
-            self.mailbox, ems_config(cfg.ems_core),
-            self.enclaves, self.pages, self.swap, self.shm,
-            self.attestation, self.rng, num_cores=cfg.ems_cores,
-            fabric_probe=self.ihub.probe)
-        self.emcall.attach_ems(self.ems.pump)
+        #: The shard fleet coordinator (docs/scale_out.md); a pool of one
+        #: on the paper's single-EMS platform.
+        self.shard_pool = ShardPool(shards, self.sealing)
 
         # Section IX extensions: VM-level TEE, CFI monitoring, and the
         # Varys-style interrupt anomaly detector.
@@ -138,15 +142,22 @@ class HyperTEESystem:
                               self.memory, self.crypto, self.rng)
         self.cfi = CFIMonitor(self.enclaves)
         self.interrupt_monitor = InterruptAnomalyDetector(self.enclaves)
-        self.emcall.attach_interrupt_observer(self.interrupt_monitor.observe)
 
-        # -- multi-EMS scale-out (docs/scale_out.md) ---------------------------
-        #: The shard fleet coordinator; None on a single-EMS system. With
-        #: ems_shards == 1 nothing below runs, so construction (and every
-        #: RNG draw in it) is bit-identical to the pre-shard platform.
-        self.shard_pool = None
-        if cfg.ems_shards > 1:
-            self._build_shards(cfg)
+        # -- EMCall: one gate per shard, on that shard's mailbox ----------------
+        gates = tuple(EMCall(shard.mailbox, self.rng, self.cores)
+                      for shard in shards)
+        for gate, shard in zip(gates, shards):
+            # Pumping through the shard lets ems.shard.fail land on it.
+            gate.attach_ems(shard.pump)
+            gate.attach_interrupt_observer(self.interrupt_monitor.observe)
+        #: The per-shard gates, in shard order (CS firmware, so kept here
+        #: and not on the EMS-side shards).
+        self.gates = gates
+        if len(gates) == 1:
+            self.emcall = gates[0]
+        else:
+            self.emcall = ShardedEMCall(gates, self.shard_pool.place_ecreate,
+                                        self.shard_pool.resolve)
 
         # -- observability (out-of-band; see docs/observability.md) -----------
         from repro.obs.probes import Observability
@@ -158,68 +169,40 @@ class HyperTEESystem:
         self.san = None
         self._register_stats_sources()
 
-    def _build_shards(self, cfg: SystemConfig) -> None:
-        """Grow the booted single-EMS platform into a shard fleet.
+    def _build_shard(self, index: int) -> EMSShard:
+        """Build one EMS instance on the booted platform hardware.
 
-        Shard 0 *is* the legacy EMS — the components built above are
-        wrapped, not rebuilt, so their boot-time state matches a
-        single-EMS system exactly. Each additional shard gets its own
-        mailbox on the fabric and its own management-software state
-        (pool, ownership, lifecycle, page/swap/shm, attestation,
-        runtime), while platform hardware — memory, the encryption
-        engine, the key manager, the bitmap, the CS OS — stays shared.
-        The CS-side gate becomes a :class:`ShardedEMCall` routing on
-        enclave IDs.
+        A shard owns its mailbox on the fabric and the management state
+        the paper keeps in EMS SRAM: pool, ownership table, enclave/page/
+        swap/shm managers, attestation (bound to the platform
+        measurement) and runtime. Platform hardware — memory, the
+        encryption engine, the key manager, the bitmap, the CS OS — is
+        shared by every shard.
         """
-        from repro.cs.emcall import ShardedEMCall
-        from repro.ems.shardpool import EMSShard, ShardPool
-
-        shards = [EMSShard(
-            0, mailbox=self.mailbox, pool=self.pool,
-            ownership=self.ownership, enclaves=self.enclaves,
-            pages=self.pages, swap=self.swap, shm=self.shm,
-            attestation=self.attestation, runtime=self.ems)]
-        gates = [self.emcall]
-
-        for index in range(1, cfg.ems_shards):
-            mailbox = Mailbox()
-            self.ihub.register_shard_mailbox(mailbox)
-            pool = EnclaveMemoryPool(
-                self.os, self.memory, self.rng, bitmap=self.bitmap,
-                initial_pages=cfg.pool_initial_pages)
-            ownership = PageOwnershipTable()
-            enclaves = EnclaveManager(
-                self.memory, pool, ownership, self.bitmap,
-                self.keys, self.crypto, self.rng)
-            pages = PageManager(enclaves)
-            swap = SwapManager(pool, self.keys, self.crypto, self.rng)
-            shm = SharedMemoryManager(enclaves, self.keys, self.ihub,
-                                      iommu=self.iommu)
-            attestation = AttestationService(enclaves, self.keys,
-                                             self.crypto)
-            attestation.set_platform_measurement(
-                self.boot_report.platform_measurement)
-            runtime = EMSRuntime(
-                mailbox, ems_config(cfg.ems_core),
-                enclaves, pages, swap, shm, attestation, self.rng,
-                num_cores=cfg.ems_cores, fabric_probe=self.ihub.probe)
-            shards.append(EMSShard(
-                index, mailbox=mailbox, pool=pool, ownership=ownership,
-                enclaves=enclaves, pages=pages, swap=swap, shm=shm,
-                attestation=attestation, runtime=runtime))
-
-            gate = EMCall(mailbox, self.rng, self.cores)
-            gate.attach_interrupt_observer(self.interrupt_monitor.observe)
-            gates.append(gate)
-
-        self.shard_pool = ShardPool(shards, self.sealing)
-        # Every gate's retry pump goes through its shard's wrapper so
-        # shard outages (ems.shard.fail) land on the right runtime.
-        for gate, shard in zip(gates, shards):
-            gate.attach_ems(shard.pump)
-        self.emcall = ShardedEMCall(gates, self.cores)
-        self.emcall.attach_shard_router(self.shard_pool.place_ecreate,
-                                        self.shard_pool.resolve)
+        cfg = self.config
+        mailbox = Mailbox()
+        pool = EnclaveMemoryPool(
+            self.os, self.memory, self.rng, bitmap=self.bitmap,
+            initial_pages=cfg.pool_initial_pages)
+        ownership = PageOwnershipTable()
+        enclaves = EnclaveManager(
+            self.memory, pool, ownership, self.bitmap,
+            self.keys, self.crypto, self.rng)
+        pages = PageManager(enclaves)
+        swap = SwapManager(pool, self.keys, self.crypto, self.rng)
+        shm = SharedMemoryManager(enclaves, self.keys, self.ihub,
+                                  iommu=self.iommu)
+        attestation = AttestationService(enclaves, self.keys, self.crypto)
+        attestation.set_platform_measurement(
+            self.boot_report.platform_measurement)
+        runtime = EMSRuntime(
+            mailbox, ems_config(cfg.ems_core),
+            enclaves, pages, swap, shm, attestation, self.rng,
+            num_cores=cfg.ems_cores, fabric_probe=self.ihub.probe)
+        return EMSShard(
+            index, mailbox=mailbox, pool=pool, ownership=ownership,
+            enclaves=enclaves, pages=pages, swap=swap, shm=shm,
+            attestation=attestation, runtime=runtime)
 
     def _register_stats_sources(self) -> None:
         """Federate the per-subsystem ``*Stats`` into the registry.
@@ -252,10 +235,34 @@ class HyperTEESystem:
             lambda: stats_asdict(self.faults.stats if self.faults is not None
                                  else FaultStats()))
 
-        if self.shard_pool is not None:
+        if self.shard_pool.num_shards > 1:
             # Only multi-EMS systems grow the summary schema; the default
             # key set stays pinned (tests/core/test_stats.py).
             reg.register_source("shards", self.shard_pool.stats_summary)
+
+    def _hooked_components(self) -> Iterator[object]:
+        """Every component that may carry an ``obs``/``faults``/``san`` hook.
+
+        The one walk each ``enable_*`` attaches through: the platform
+        singletons, each core's TLB and PTW, and every shard's gate,
+        mailbox, pool, ownership table, swap manager and runtime — so a
+        shard is instrumented exactly like the first one, by construction.
+        """
+        yield from (self.memory, self.engine, self.keys, self.sealing,
+                    self.crypto, self.os, self.obs.flightrec,
+                    self.shard_pool)
+        for core in self.cores:
+            yield core.tlb
+            yield core.ptw
+        for gate, shard in zip(self.gates, self.shard_pool.shards):
+            yield from (gate, shard.mailbox, shard.pool, shard.ownership,
+                        shard.swap, shard.runtime)
+
+    def _attach(self, hook: str, value) -> None:
+        """Set ``hook`` on every walked component that declares it."""
+        for component in self._hooked_components():
+            if hasattr(component, hook):
+                setattr(component, hook, value)
 
     def enable_observability(self) -> "HyperTEESystem":
         """Attach the probe points and turn on tracing.
@@ -266,34 +273,18 @@ class HyperTEESystem:
         Returns self for chaining.
         """
         self.obs.enable()
-        self.mailbox.obs = self.obs
-        self.emcall.obs = self.obs
-        self.ems.obs = self.obs
-        self.pool.obs = self.obs
-        self.swap.obs = self.obs
-        self.crypto.obs = self.obs
-        self.os.obs = self.obs
-        for core in self.cores:
-            core.tlb.obs = self.obs
-            core.ptw.obs = self.obs
-        if self.shard_pool is not None:
-            self.shard_pool.obs = self.obs
-            for shard in self.shard_pool.shards[1:]:
-                shard.mailbox.obs = self.obs
-                shard.runtime.obs = self.obs
-                shard.pool.obs = self.obs
-                shard.swap.obs = self.obs
+        self._attach("obs", self.obs)
         return self
 
     def enable_fault_injection(self, plan) -> "HyperTEESystem":
         """Attach a deterministic fault injector driven by ``plan``.
 
-        Wires the injector into every fault point: the mailbox queues
-        (via the iHub, which owns the transfer path), the EMS runtime,
-        and the EMCall gate. An empty plan is guaranteed non-interfering:
-        cycle counts, stats, and attestation signatures stay bit-identical
-        to a system without injection (tests/obs/test_noninterference.py).
-        Returns self for chaining.
+        Wires the injector into every fault point on every shard: the
+        mailbox queues and transfer legs, the EMS runtime, the EMCall
+        gate and the shard pool's transfers. An empty plan is guaranteed
+        non-interfering: cycle counts, stats, and attestation signatures
+        stay bit-identical to a system without injection
+        (tests/obs/test_noninterference.py). Returns self for chaining.
         """
         from repro.faults.injector import FaultInjector
         from repro.faults.plan import FaultPlan
@@ -301,13 +292,7 @@ class HyperTEESystem:
         if plan is None:
             plan = FaultPlan.empty()
         self.faults = FaultInjector(plan, obs=self.obs)
-        self.ihub.attach_faults(self.faults)
-        self.ems.faults = self.faults
-        self.emcall.faults = self.faults
-        if self.shard_pool is not None:
-            self.shard_pool.faults = self.faults
-            for shard in self.shard_pool.shards[1:]:
-                shard.runtime.faults = self.faults
+        self._attach("faults", self.faults)
         return self
 
     def enable_sanitizers(
@@ -320,34 +305,17 @@ class HyperTEESystem:
         ``faults`` hooks: no modelled state, RNG draw, or cycle count
         changes — a sanitized run is bit-identical to an unsanitized one
         (tests/sanitize/test_noninterference.py). The manager is wired
-        into every instrumented component, fleet-wide on sharded
-        platforms, and the eFuse roots are registered as taint so every
-        derived key is traceable from boot. Returns self for chaining.
+        into every instrumented component on every shard, and the eFuse
+        roots are registered as taint so every derived key is traceable
+        from boot. Returns self for chaining.
         """
         from repro.common import codec
         from repro.sanitize.manager import SanitizerManager
 
         san = SanitizerManager(sanitizers, obs=self.obs)
         self.san = san
-        self.mailbox.san = san
-        self.memory.san = san
-        self.engine.san = san
-        self.keys.san = san
-        self.pool.san = san
-        self.ownership.san = san
-        self.sealing.san = san
-        self.emcall.san = san
-        self.ems.san = san
-        self.crypto.san = san
-        self.obs.flightrec.san = san
+        self._attach("san", san)
         codec.set_sanitizer(san)
-        if self.shard_pool is not None:
-            self.shard_pool.san = san
-            for shard in self.shard_pool.shards[1:]:
-                shard.mailbox.san = san
-                shard.pool.san = san
-                shard.ownership.san = san
-                shard.runtime.san = san
         # The manufacturing roots are the taint sources everything else
         # derives from (EFuse.read stays readable after lock()).
         san.register_secret(self.efuse.read("EK"), "efuse-EK")
@@ -366,8 +334,6 @@ class HyperTEESystem:
     @property
     def ems_runtimes(self) -> list[EMSRuntime]:
         """Every EMS runtime on the platform (one per shard)."""
-        if self.shard_pool is None:
-            return [self.ems]
         return [shard.runtime for shard in self.shard_pool.shards]
 
     def ems_requests_served(self) -> int:

@@ -655,10 +655,12 @@ class ShardedEMCall:
     — the modelled cost of genuinely crossing several mailboxes.
     """
 
-    def __init__(self, gates: list[EMCall], cores: list[CSCore]) -> None:
+    def __init__(self, gates: Sequence[EMCall],
+                 place: Callable[[], tuple[int, int]],
+                 resolve: Callable[[int], int]) -> None:
         if not gates:
             raise EMCallError("a sharded gate needs at least one sub-gate")
-        gates = list(gates)
+        gates = tuple(gates)
         self._gates = gates
         #: Shard 0's gate: the platform's primary port for core-local /
         #: fleet-neutral operations. Designated once here, from the
@@ -667,25 +669,16 @@ class ShardedEMCall:
         #: (TEE010 bans per-call-site fleet indexing for everything
         #: that *is* one).
         self._primary = gates[0]
-        self._cores = cores
-        #: Placement/resolution callbacks (injected by the system from
-        #: the shard pool — the CS layer holds opaque callables only).
-        self._place: Callable[[], tuple[int, int]] | None = None
-        self._resolve: Callable[[int], int] | None = None
-        self._ewb_next = 0
-
-    def attach_shard_router(self, place: Callable[[], tuple[int, int]],
-                            resolve: Callable[[int], int]) -> None:
-        """Wire the shard pool's placement and resolution callbacks."""
+        #: Placement/resolution callbacks from the shard pool (the CS
+        #: layer holds opaque callables only).
         self._place = place
         self._resolve = resolve
-
-    # -- fan-out attributes (the system and tests address one gate) ------------
+        self._ewb_next = 0
 
     @property
     def gates(self) -> tuple["EMCall", ...]:
         """The per-shard sub-gates, shard order (read-only view)."""
-        return tuple(self._gates)
+        return self._gates
 
     @property
     def retry_policy(self) -> RetryPolicy:
@@ -697,40 +690,8 @@ class ShardedEMCall:
             gate.retry_policy = policy
 
     @property
-    def obs(self):
-        return self._primary.obs
-
-    @obs.setter
-    def obs(self, obs) -> None:
-        for gate in self._gates:
-            gate.obs = obs
-
-    @property
-    def faults(self):
-        return self._primary.faults
-
-    @faults.setter
-    def faults(self, injector) -> None:
-        for gate in self._gates:
-            gate.faults = injector
-
-    @property
-    def san(self):
-        return self._primary.san
-
-    @san.setter
-    def san(self, manager) -> None:
-        for gate in self._gates:
-            gate.san = manager
-
-    @property
     def bitmap_flush_count(self) -> int:
         return sum(gate.bitmap_flush_count for gate in self._gates)
-
-    @property
-    def mailbox(self) -> Mailbox:
-        """Shard 0's mailbox (the primary port on the fabric)."""
-        return self._primary.mailbox
 
     # -- routing ----------------------------------------------------------------
 
@@ -740,7 +701,7 @@ class ShardedEMCall:
 
         ECREATE gets its platform-global ID stamped in here.
         """
-        if primitive is Primitive.ECREATE and self._place is not None:
+        if primitive is Primitive.ECREATE:
             enclave_id, shard = self._place()
             return {**args, "preassigned_id": enclave_id}, shard
         if primitive is Primitive.EWB:
@@ -817,11 +778,6 @@ class ShardedEMCall:
                          cycle: int = 0) -> str:
         """Route an interrupt through the owning shard's gate."""
         return self._gate_for_core(core).handle_interrupt(core, cause, cycle)
-
-    def attach_interrupt_observer(self, observer) -> None:
-        """Hook the anomaly detector into every shard's gate."""
-        for gate in self._gates:
-            gate.attach_interrupt_observer(observer)
 
     def handle_enclave_page_fault(self, core: CSCore,
                                   vaddr: int) -> InvokeResult:

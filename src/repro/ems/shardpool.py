@@ -4,7 +4,8 @@ One EMS serving one CS cluster is the scalability ceiling of the
 decoupled architecture; this module removes it. A *shard* is a complete
 EMS instance — its own mailbox on the fabric, its own memory pool,
 ownership table, enclave/page/swap/shm managers, attestation service,
-and runtime — and the :class:`ShardPool` coordinates a fleet of them:
+and runtime — and the :class:`ShardPool` coordinates a fleet of them.
+Every platform has a pool: the paper's single EMS is a pool of one.
 
 * **Placement.** ECREATE IDs are minted platform-globally by the pool
   so that the ID's home shard under :func:`repro.hw.routing.shard_for`
@@ -151,10 +152,6 @@ class ShardPool:
     def shard_of(self, enclave_id: int) -> EMSShard:
         """The :class:`EMSShard` object :meth:`resolve` points at."""
         return self.shards[self.resolve(enclave_id)]
-
-    def pump_all(self) -> int:
-        """One pump round across the whole fleet (boot/idle draining)."""
-        return sum(shard.pump() for shard in self.shards)
 
     # -- cross-shard ownership transfer ----------------------------------------
 

@@ -169,7 +169,8 @@ def _step_worker(tee: HyperTEE, worker: _Worker, rng: DeterministicRng,
         worker.enclave.exit()
     elif phase == "transfer":
         pool = tee.system.shard_pool
-        if pool is not None and worker.generation % cfg.transfer_every == 0:
+        if pool.num_shards > 1 and \
+                worker.generation % cfg.transfer_every == 0:
             eid = worker.enclave.enclave_id
             dst = (pool.resolve(eid) + 1) % pool.num_shards
             try:
@@ -184,35 +185,6 @@ def _step_worker(tee: HyperTEE, worker: _Worker, rng: DeterministicRng,
         worker.enclave = None
         worker.generation += 1
     worker.phase = (worker.phase + 1) % len(_PHASES)
-
-
-def _shard_section(tee: HyperTEE) -> dict[str, Any]:
-    """Per-shard attribution (synthesized at shards=1 for one schema)."""
-    system = tee.system
-    if system.shard_pool is not None:
-        return system.shard_pool.stats_summary()
-    from repro.common.types import EnclaveState
-
-    return {
-        "num_shards": 1,
-        "transfers_committed": 0,
-        "transfers_interrupted": 0,
-        "overrides": 0,
-        "per_shard": [{
-            "shard": 0,
-            "served": system.ems.stats.served,
-            "failed": system.ems.stats.failed,
-            "service_cycles": system.ems.stats.total_service_cycles,
-            "enclaves": sum(
-                1 for c in system.enclaves.enclaves.values()
-                if c.state is not EnclaveState.DESTROYED),
-            "pool_used": system.pool.used_count,
-            "pool_free": system.pool.free_count,
-            "pool_capacity": system.pool.capacity,
-            "transfers_in": 0,
-            "transfers_out": 0,
-        }],
-    }
 
 
 def run_serve(cfg: ServeConfig,
@@ -264,7 +236,7 @@ def run_serve(cfg: ServeConfig,
         },
         "slo": tee.system.obs.slo.report(),
         "attribution": tee.system.obs.attribution.table(),
-        "shards": _shard_section(tee),
+        "shards": tee.system.shard_pool.stats_summary(),
         "starvation": {
             "starved": starved,
             "degraded_ops": totals["degraded"],

@@ -6,7 +6,8 @@ The iHub mediates between the CS cores and the HyperTEE IP and enforces:
   memory space and I/O; CS masters can never reach EMS-private memory or
   devices. At SoC boot, chip-initialization logic carves the physical
   address space into a CS region and an EMS-private region.
-* **The mailbox** — the only legitimate CS->EMS communication channel.
+* **The mailboxes** — one per EMS shard, the only legitimate CS->EMS
+  communication channel (:mod:`repro.hw.mailbox`).
 * **The DMA whitelist** — register pairs (base, size, permission) per DMA
   device, exclusively configurable by the EMS; accesses outside a
   device's legal region are discarded (raise).
@@ -20,7 +21,6 @@ import dataclasses
 
 from repro.common.types import AccessType, Permission
 from repro.errors import DMAViolation, IsolationViolation
-from repro.hw.mailbox import Mailbox
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,45 +92,12 @@ class FabricProbe:
 class IHub:
     """The CS<->EMS bridge with its security checks."""
 
-    def __init__(self, partition: AddressPartition,
-                 mailbox: Mailbox | None = None) -> None:
+    def __init__(self, partition: AddressPartition) -> None:
         self.partition = partition
-        self.mailbox = mailbox if mailbox is not None else Mailbox()
         self._dma_whitelist: dict[str, list[WhitelistEntry]] = {}
         self.stats = FabricStats()
         #: The interconnect observer's view of EMS traffic (Section VIII-C).
         self.probe = FabricProbe()
-        #: Fault injector for the transfer path (None = clear weather).
-        self.faults = None
-        #: Additional per-shard mailboxes on the fabric (multi-EMS
-        #: scale-out); the primary ``self.mailbox`` is shard 0's.
-        self.shard_mailboxes: list[Mailbox] = []
-
-    def register_shard_mailbox(self, mailbox: Mailbox) -> None:
-        """Put an extra EMS shard's mailbox on the fabric.
-
-        The shard's mailbox is subject to the same transport weather as
-        the primary one: if a fault injector is already attached it is
-        inherited immediately, otherwise :meth:`attach_faults` will wire
-        it later.
-        """
-        self.shard_mailboxes.append(mailbox)
-        if self.faults is not None:
-            mailbox.faults = self.faults
-
-    def attach_faults(self, injector) -> None:
-        """Wire a fault injector into the transfer path.
-
-        The iHub owns the CS<->EMS link, so it is the attachment point
-        for transport weather: every mailbox on the fabric (the primary
-        one and any shard mailboxes) inherits the same injector for its
-        queue-level faults, and ``fabric.latency`` spikes land on the
-        mailbox's transfer legs.
-        """
-        self.faults = injector
-        self.mailbox.faults = injector
-        for mailbox in self.shard_mailboxes:
-            mailbox.faults = injector
 
     # -- memory access checks ------------------------------------------------------
 

@@ -108,7 +108,7 @@ class Mailbox:
         self.irq_pending = False
         #: Out-of-band observability hook (attached by the system).
         self.obs = None
-        #: Fault injector (attached via IHub.attach_faults; None = clear).
+        #: Fault injector (None = clear weather); see repro.faults.
         self.faults = None
         #: Runtime sanitizer manager (None = off); see repro.sanitize.
         self.san = None

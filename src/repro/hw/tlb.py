@@ -82,7 +82,7 @@ class TLB:
 
     def flush_all(self) -> int:
         """Full flush (enclave context switch). Returns entries dropped."""
-        dropped = sum(len(bucket) for bucket in self._sets)
+        dropped = sum(map(len, self._sets))
         for bucket in self._sets:
             bucket.clear()
         self.stats.full_flushes += 1

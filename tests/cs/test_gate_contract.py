@@ -26,12 +26,8 @@ def _platform(shards: int) -> HyperTEE:
     return HyperTEE(SystemConfig(seed=0x6A7E, ems_shards=shards))
 
 
-def _gates(system) -> tuple:
-    return system.emcall.gates if system.shard_pool else (system.emcall,)
-
-
 def _requests_sent(system) -> list[int]:
-    return [gate.mailbox.stats.requests_sent for gate in _gates(system)]
+    return [gate.mailbox.stats.requests_sent for gate in system.gates]
 
 
 def _next_ids(tee: HyperTEE) -> tuple:
@@ -47,7 +43,7 @@ def _next_ids(tee: HyperTEE) -> tuple:
     created = system.emcall.invoke(Primitive.ECREATE,
                                    {"config": EnclaveConfig()}, core=core)
     ewbs = [system.emcall.invoke(Primitive.EWB, {"pages": 0}, core=core)
-            for _ in _gates(system)]
+            for _ in system.gates]
     return (created.result("enclave_id"), created.response.request_id,
             [result.response.request_id for result in ewbs])
 

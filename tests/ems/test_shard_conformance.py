@@ -2,11 +2,12 @@
 
 Two differential contracts pin the multi-EMS shard pool:
 
-1. **``ems_shards=1`` is the identity.** A one-shard config takes the
-   exact legacy construction path (``shard_pool is None``, no extra RNG
-   draws, no wrapper objects), so every observable — physical-memory
-   digest, modelled cycles, serve counts, measurements — is bit-for-bit
-   the default platform's.
+1. **``ems_shards=1`` is the paper's platform.** A one-shard config is
+   a shard pool of one whose gate is a plain :class:`EMCall` (no routing
+   wrapper), so every observable — physical-memory digest, modelled
+   cycles, serve counts, measurements — is bit-for-bit the default
+   platform's, and ``tests/golden/shard_fleet.json`` pins both it and
+   the fleets to their pre-pool construction.
 2. **N shards are semantically equivalent to one.** The same scripted
    workload on a 4-shard fleet yields the same enclave IDs (the pool
    mints them platform-globally from 1), the same measurements, the
@@ -25,6 +26,7 @@ from repro.common.types import Primitive
 from repro.core.api import HyperTEE
 from repro.core.config import SystemConfig
 from repro.core.enclave import EnclaveConfig
+from repro.cs.emcall import EMCall
 
 
 def memory_digest(system) -> str:
@@ -42,7 +44,7 @@ def _scripted_run(shards: int | None, seed: int = 0x51AD) -> dict:
     """The conformance workload: mixed lifecycle over five enclaves.
 
     ``shards=None`` builds the config without touching the knob at all —
-    the pre-shard construction path, byte for byte.
+    the default platform, byte for byte.
     """
     if shards is None:
         config = SystemConfig(seed=seed)
@@ -81,11 +83,14 @@ def _scripted_run(shards: int | None, seed: int = 0x51AD) -> dict:
     return out
 
 
-def test_one_shard_config_takes_legacy_path():
-    """``ems_shards=1`` must not even build the pool machinery."""
-    tee = HyperTEE(SystemConfig(ems_shards=1))
-    assert tee.system.shard_pool is None
-    assert tee.system.ems_runtimes == [tee.system.ems]
+def test_one_shard_is_a_pool_of_one_with_a_plain_gate():
+    """``ems_shards=1``: one shard, its parts the single-EMS names."""
+    system = HyperTEE(SystemConfig(ems_shards=1)).system
+    assert system.shard_pool.num_shards == 1
+    assert type(system.emcall) is EMCall
+    assert system.ems_runtimes == [system.ems]
+    assert system.mailbox is system.shard_pool.shards[0].mailbox
+    assert "shards" not in system.stats_summary()
 
 
 def test_one_shard_is_bitforbit_the_default():
@@ -97,7 +102,6 @@ def test_one_shard_is_bitforbit_the_default():
     """
     explicit = _scripted_run(shards=1)
     default = _scripted_run(shards=None)
-    assert explicit["shard_pool"] is None
     for field in ("ids", "measurements", "readbacks", "quotes_verify",
                   "primitive_cycles", "requests_served", "memory_digest"):
         assert explicit[field] == default[field], \

@@ -191,25 +191,22 @@ def sanitize_guard(tee: HyperTEE, label: str = "chaos"):
 def check_invariants(system: HyperTEESystem) -> None:
     """Pool / bitmap / ownership invariants that no fault may break.
 
-    On a sharded platform every shard's pool/ownership/manager triple is
-    checked independently, plus the fleet-level invariant that no
-    enclave ID is resident on two shards at once.
+    Every shard's pool/ownership/manager triple is checked
+    independently, plus the fleet-level invariant that no enclave ID is
+    resident on two shards at once.
     """
     from repro.common.types import EnclaveState
     from repro.ems.ownership import Owner
 
-    if system.shard_pool is None:
-        cells = [(system.pool, system.ownership, system.enclaves)]
-    else:
-        cells = [(s.pool, s.ownership, s.enclaves)
-                 for s in system.shard_pool.shards]
-        seen: dict[int, int] = {}
-        for shard in system.shard_pool.shards:
-            for enclave_id in shard.enclaves.enclaves:
-                assert enclave_id not in seen, (
-                    f"enclave {enclave_id} resident on shards "
-                    f"{seen[enclave_id]} and {shard.index}")
-                seen[enclave_id] = shard.index
+    cells = [(s.pool, s.ownership, s.enclaves)
+             for s in system.shard_pool.shards]
+    seen: dict[int, int] = {}
+    for shard in system.shard_pool.shards:
+        for enclave_id in shard.enclaves.enclaves:
+            assert enclave_id not in seen, (
+                f"enclave {enclave_id} resident on shards "
+                f"{seen[enclave_id]} and {shard.index}")
+            seen[enclave_id] = shard.index
 
     san = getattr(system, "san", None)
     if san is not None:
