@@ -140,8 +140,12 @@ class HyperTEESystem:
 
         self.cvm = CVMManager(self.enclaves, self.keys, self.attestation,
                               self.memory, self.crypto, self.rng)
-        self.cfi = CFIMonitor(self.enclaves)
-        self.interrupt_monitor = InterruptAnomalyDetector(self.enclaves)
+
+        def enclaves_of(enclave_id: int) -> EnclaveManager:
+            return self.shard_pool.shard_of(enclave_id).enclaves
+
+        self.cfi = CFIMonitor(enclaves_of)
+        self.interrupt_monitor = InterruptAnomalyDetector(enclaves_of)
 
         # -- EMCall: one gate per shard, on that shard's mailbox ----------------
         gates = tuple(EMCall(shard.mailbox, self.rng, self.cores)

@@ -16,6 +16,7 @@ records behind a cursor. CS software sees only ciphertext.
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 from repro.common.constants import PAGE_SHIFT, PAGE_SIZE
 from repro.common.types import EnclaveState
@@ -44,10 +45,14 @@ class CFIState:
 
 
 class CFIMonitor:
-    """The EMS-side CFI monitoring task."""
+    """The EMS-side CFI monitoring task.
 
-    def __init__(self, enclaves: EnclaveManager) -> None:
-        self._enclaves = enclaves
+    ``enclaves_of`` maps an enclave ID to the :class:`EnclaveManager` of
+    the EMS shard serving it, so the task acts on the right shard.
+    """
+
+    def __init__(self, enclaves_of: Callable[[int], EnclaveManager]) -> None:
+        self._enclaves_of = enclaves_of
         self._states: dict[int, CFIState] = {}
 
     # -- policy registration (done at enclave launch) -------------------------------
@@ -55,11 +60,12 @@ class CFIMonitor:
     def register_policy(self, enclave_id: int,
                         allowed_edges: set[Edge]) -> None:
         """Attach a CFG policy and allocate the transfer buffer."""
-        control = self._enclaves.get(enclave_id)
+        enclaves = self._enclaves_of(enclave_id)
+        control = enclaves.get(enclave_id)
         flush: list[int] = []
-        frame = self._enclaves.grant_frames(
+        frame = enclaves.grant_frames(
             1, Owner.ems(f"cfi{enclave_id}"), flush)[0]
-        self._enclaves.zero_under([frame], control.keyid)
+        enclaves.zero_under([frame], control.keyid)
         self._states[enclave_id] = CFIState(
             enclave_id=enclave_id,
             allowed_edges=frozenset(allowed_edges),
@@ -85,10 +91,11 @@ class CFIMonitor:
             return
         if state.cursor >= RECORDS_PER_BUFFER:
             self.scan(enclave_id)
-        control = self._enclaves.get(enclave_id)
+        enclaves = self._enclaves_of(enclave_id)
+        control = enclaves.get(enclave_id)
         record = src.to_bytes(8, "little") + dst.to_bytes(8, "little")
         addr = (state.buffer_frame << PAGE_SHIFT) + state.cursor * RECORD_BYTES
-        self._enclaves.memory.write(addr, record, control.keyid)
+        enclaves.memory.write(addr, record, control.keyid)
         state.cursor += 1
 
     # -- the monitoring task ----------------------------------------------------------------
@@ -99,11 +106,12 @@ class CFIMonitor:
         Returns the violations found in this pass.
         """
         state = self._state(enclave_id)
-        control = self._enclaves.get(enclave_id)
+        enclaves = self._enclaves_of(enclave_id)
+        control = enclaves.get(enclave_id)
         found: list[Edge] = []
         base = state.buffer_frame << PAGE_SHIFT
         for index in range(state.scanned, state.cursor):
-            raw = self._enclaves.memory.read(
+            raw = enclaves.memory.read(
                 base + index * RECORD_BYTES, RECORD_BYTES, control.keyid)
             edge = (int.from_bytes(raw[:8], "little"),
                     int.from_bytes(raw[8:], "little"))
@@ -122,10 +130,10 @@ class CFIMonitor:
         """Malicious behaviour detected: tear the enclave down."""
         state = self._state(enclave_id)
         state.terminated = True
-        control = self._enclaves.get(enclave_id)
-        if control.state is EnclaveState.RUNNING:
-            self._enclaves.eexit(enclave_id)
-        self._enclaves.edestroy(enclave_id)
+        enclaves = self._enclaves_of(enclave_id)
+        if enclaves.get(enclave_id).state is EnclaveState.RUNNING:
+            enclaves.eexit(enclave_id)
+        enclaves.edestroy(enclave_id)
 
     # -- introspection -----------------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+from typing import Callable
 
 from repro.common.constants import CS_CORE_FREQ_HZ
 from repro.common.types import EnclaveState
@@ -34,12 +35,16 @@ class InterruptStats:
 
 
 class InterruptAnomalyDetector:
-    """Sliding-window interrupt-rate monitor per enclave."""
+    """Sliding-window interrupt-rate monitor per enclave.
 
-    def __init__(self, enclaves: EnclaveManager,
+    ``enclaves_of`` maps an enclave ID to the :class:`EnclaveManager` of
+    the EMS shard serving it; every shard's gate feeds one detector.
+    """
+
+    def __init__(self, enclaves_of: Callable[[int], EnclaveManager],
                  window_seconds: float = DEFAULT_WINDOW_SECONDS,
                  max_per_window: int = DEFAULT_MAX_INTERRUPTS_PER_WINDOW) -> None:
-        self._enclaves = enclaves
+        self._enclaves_of = enclaves_of
         self.window_cycles = int(window_seconds * CS_CORE_FREQ_HZ)
         self.max_per_window = max_per_window
         self._history: dict[int, collections.deque[int]] = {}
@@ -61,9 +66,9 @@ class InterruptAnomalyDetector:
         if len(history) > self.max_per_window and enclave_id not in self._flagged:
             self._flagged.add(enclave_id)
             self.stats.flagged_enclaves += 1
-            control = self._enclaves.get(enclave_id)
-            if control.state is EnclaveState.RUNNING:
-                self._enclaves.eexit(enclave_id)
+            enclaves = self._enclaves_of(enclave_id)
+            if enclaves.get(enclave_id).state is EnclaveState.RUNNING:
+                enclaves.eexit(enclave_id)
             return True
         return enclave_id in self._flagged
 

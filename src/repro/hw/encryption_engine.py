@@ -12,10 +12,19 @@ Models a commercial MK-TME/SME-style engine:
 
 KeyID 0 (``HOST_KEYID``) is plaintext passthrough for non-enclave memory.
 
+A KeyID slot holds its key's cipher, its MAC pads and the keystreams of
+the frames it re-uses: a frame's stream is kept from its second
+page-aligned whole-page access under the key, and later accesses inside
+the frame slice it. Re-programming or releasing the slot drops all three.
+
 MACs are computed over the *full stored line*, so the engine exposes
 ``record_macs`` / ``verify_macs`` hooks that :class:`PhysicalMemory` calls
 with a raw reader after the store has landed. Each hook reads the
-line-aligned span of the access once and MACs it line by line.
+line-aligned span of the access once and MACs it line by line. The span
+last recorded keeps its stored bytes and MACs, so a read-back takes an
+unchanged line's MAC from there. Both memos hold pure functions (a
+stream of key and address, a MAC of key and stored bytes), so every
+output is the one computed afresh; tampered bytes miss and are MACed.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from repro.common.constants import (
     DEFAULT_KEY_SLOTS,
     HOST_KEYID,
     MAC_BITS,
+    PAGE_SHIFT,
+    PAGE_SIZE,
 )
 from repro.crypto.cipher import KeystreamCipher
 from repro.crypto.hashes import MacKey, truncated_mac
@@ -44,8 +55,13 @@ class MemoryEncryptionEngine:
         self.integrity_enabled = integrity_enabled
         self._ciphers: dict[int, KeystreamCipher] = {}
         self._mac_keys: dict[int, MacKey] = {}
+        #: keyid -> frame -> its page keystream, or None once seen whole
+        self._streams: dict[int, dict[int, bytes | None]] = {}
         #: line physical address -> (keyid, mac over stored line content)
         self._macs: dict[int, tuple[int, int]] = {}
+        #: (keyid, first line, stored bytes, line MACs) of the span
+        #: record_macs last recorded; None when none is kept
+        self._last_span: tuple[int, int, bytes, list[int]] | None = None
         #: Runtime sanitizer manager (None = off); see repro.sanitize.
         self.san = None
 
@@ -55,7 +71,9 @@ class MemoryEncryptionEngine:
         """Install ``key`` in slot ``keyid``.
 
         The slot keeps the key's cipher and its MAC pads, built once here
-        for every line MAC under ``keyid``. Only the EMS, through its iHub
+        for every line MAC under ``keyid``, and starts with no kept frame
+        stream; re-programming a KeyID replaces all three and forgets the
+        last recorded span. Only the EMS, through its iHub
         configuration path, may program keys; any other master raises
         :class:`IsolationViolation` — "configured only by EMS via iHub"
         (paper Section IV-C).
@@ -68,6 +86,8 @@ class MemoryEncryptionEngine:
             raise KeySlotExhausted(f"all {self.key_slots} KeyID slots in use")
         self._ciphers[keyid] = KeystreamCipher(key)
         self._mac_keys[keyid] = MacKey(key)
+        self._streams[keyid] = {}
+        self._last_span = None
         if self.san is not None:
             self.san.on_key_programmed(keyid)
 
@@ -77,6 +97,8 @@ class MemoryEncryptionEngine:
             raise IsolationViolation("only EMS may release encryption keys")
         self._ciphers.pop(keyid, None)
         self._mac_keys.pop(keyid, None)
+        self._streams.pop(keyid, None)
+        self._last_span = None
         if self.san is not None:
             self.san.on_key_released(keyid)
 
@@ -94,13 +116,38 @@ class MemoryEncryptionEngine:
         """Transform a store on its way to DRAM."""
         if keyid == HOST_KEYID:
             return data
-        return self._cipher_for(keyid).encrypt(data, tweak=paddr)
+        return self._xor_stream(paddr, data, keyid)
 
     def decrypt_access(self, paddr: int, raw: bytes, keyid: int) -> bytes:
         """Transform a load on its way from DRAM."""
         if keyid == HOST_KEYID:
             return raw
-        return self._cipher_for(keyid).decrypt(raw, tweak=paddr)
+        return self._xor_stream(paddr, raw, keyid)
+
+    def _xor_stream(self, paddr: int, data: bytes, keyid: int) -> bytes:
+        """XOR ``data`` with ``keyid``'s keystream at ``paddr``.
+
+        An access inside a frame whose stream the slot keeps slices it. A
+        page-aligned whole-page access computes the frame's stream: the
+        first one marks the frame as seen, the second keeps the stream.
+        Any other access (sub-page on an unkept frame, a span across
+        frames, an unprogrammed KeyID) computes just its own window.
+        """
+        streams = self._streams.get(keyid)
+        if streams is None:
+            return self._cipher_for(keyid).encrypt(data, tweak=paddr)
+        length = len(data)
+        frame, offset = paddr >> PAGE_SHIFT, paddr & (PAGE_SIZE - 1)
+        stream = streams.get(frame)
+        if stream is not None and offset + length <= PAGE_SIZE:
+            stream = stream[offset:offset + length]
+        elif offset == 0 and length == PAGE_SIZE:
+            stream = self._ciphers[keyid].keystream(paddr, PAGE_SIZE)
+            streams[frame] = stream if frame in streams else None
+        else:
+            return self._ciphers[keyid].encrypt(data, tweak=paddr)
+        return (int.from_bytes(data, "little")
+                ^ int.from_bytes(stream, "little")).to_bytes(length, "little")
 
     # -- integrity ------------------------------------------------------------------
 
@@ -121,7 +168,8 @@ class MemoryEncryptionEngine:
         """Record MACs over every stored line a write touched.
 
         Host-KeyID writes drop any stale enclave MAC on the line instead
-        (the line now holds host data).
+        (the line now holds host data). The span's stored bytes and MACs
+        are kept for :meth:`verify_macs`, replacing the previous span.
         """
         if keyid == HOST_KEYID:
             for line in self._lines(paddr, length):
@@ -134,10 +182,12 @@ class MemoryEncryptionEngine:
             return
         start, size = self._span(paddr, length)
         raw = read_raw(start, size)
-        for offset in range(0, size, CACHE_LINE_SIZE):
-            content = raw[offset:offset + CACHE_LINE_SIZE]
-            self._macs[start + offset] = (
-                keyid, truncated_mac(mac_key, content, MAC_BITS))
+        macs = [truncated_mac(mac_key, raw[offset:offset + CACHE_LINE_SIZE],
+                              MAC_BITS)
+                for offset in range(0, size, CACHE_LINE_SIZE)]
+        for line, mac in zip(range(start, start + size, CACHE_LINE_SIZE), macs):
+            self._macs[line] = (keyid, mac)
+        self._last_span = (keyid, start, raw, macs)
 
     def verify_macs(self, paddr: int, length: int, keyid: int,
                     read_raw: LineReader) -> None:
@@ -145,13 +195,19 @@ class MemoryEncryptionEngine:
 
         Raises :class:`IntegrityViolation` on mismatch — the paper's
         response to physical tampering (Section IV-C). Lines never written
-        under this keyid (freshly zeroed pages) carry no MAC and pass.
+        under this keyid (freshly zeroed pages) carry no MAC and pass. A
+        line whose stored bytes equal those of the span last recorded
+        under ``keyid`` takes its MAC from there.
         """
         if keyid == HOST_KEYID or not self.integrity_enabled:
             return
         mac_key = self._mac_keys.get(keyid)
         if mac_key is None:
             return
+        last = self._last_span
+        if last is None or last[0] != keyid:
+            last = (keyid, 0, b"", [])
+        _, last_start, last_raw, last_macs = last
         start, size = self._span(paddr, length)
         raw = None
         for offset in range(0, size, CACHE_LINE_SIZE):
@@ -169,7 +225,13 @@ class MemoryEncryptionEngine:
             if raw is None:
                 raw = read_raw(start, size)
             content = raw[offset:offset + CACHE_LINE_SIZE]
-            if truncated_mac(mac_key, content, MAC_BITS) != rec_mac:
+            at = line - last_start
+            if 0 <= at < len(last_raw) \
+                    and last_raw[at:at + CACHE_LINE_SIZE] == content:
+                mac = last_macs[at // CACHE_LINE_SIZE]
+            else:
+                mac = truncated_mac(mac_key, content, MAC_BITS)
+            if mac != rec_mac:
                 raise IntegrityViolation(
                     f"MAC mismatch at line {line:#x} (keyid {keyid})"
                 )

@@ -141,3 +141,98 @@ def test_xor_matches_scalar(data, tweak):
     stream = cipher.keystream(tweak, len(data))
     assert cipher.encrypt(data, tweak) == \
         bytes(p ^ s for p, s in zip(data, stream))
+
+
+class _ReleasingOracle(_PerLineOracle):
+    """The oracle with KeyID slots that can be released."""
+
+    def release_key(self, keyid, *, from_ems):
+        super().release_key(keyid, from_ems=from_ems)
+        self._raw_keys.pop(keyid, None)
+
+    def verify_macs(self, paddr, length, keyid, read_raw):
+        if keyid in self._raw_keys:
+            super().verify_macs(paddr, length, keyid, read_raw)
+
+
+#: Frames the re-use property works over: few, so frames come back.
+REUSED_FRAMES = 3
+
+
+def _reused_span(shape, frame, offset, length):
+    """(paddr, length) of a whole page, a line, or a sub-page access."""
+    base = frame * PAGE_SIZE
+    if shape == "page":
+        return base, PAGE_SIZE
+    if shape == "line":
+        return base + offset - offset % CACHE_LINE_SIZE, CACHE_LINE_SIZE
+    paddr = base + offset
+    return paddr, min(length, REUSED_FRAMES * PAGE_SIZE - paddr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(
+    st.tuples(
+        st.sampled_from(("write", "write", "read", "read", "tamper",
+                         "reprogram", "release")),
+        st.sampled_from(("page", "page", "page", "line", "sub")),
+        st.integers(min_value=0, max_value=REUSED_FRAMES - 1),  # frame
+        st.integers(min_value=0, max_value=PAGE_SIZE - 1),  # offset
+        st.sampled_from((1, 8, CACHE_LINE_SIZE, 100, PAGE_SIZE)),  # sub length
+        st.sampled_from((0, 1, 1, 2)),  # keyid: host, programmed x2
+        st.integers(min_value=0, max_value=255)),  # fill / tamper mask
+    min_size=1, max_size=32))
+@example(ops=[("write", "page", 0, 0, 1, 1, 7), ("read", "page", 0, 0, 1, 1, 0),
+              ("read", "line", 0, 64, 1, 1, 0), ("tamper", "sub", 0, 70, 1, 0, 3),
+              ("read", "page", 0, 0, 1, 1, 0), ("reprogram", "page", 0, 0, 1, 1, 0),
+              ("read", "page", 0, 0, 1, 1, 0), ("write", "page", 0, 0, 1, 1, 9),
+              ("release", "page", 0, 0, 1, 1, 0), ("read", "sub", 0, 10, 100, 1, 0)])
+def test_engine_matches_oracle_on_reused_frames_and_rekeyed_slots(ops):
+    """Whole pages re-used under one key, and slots re-keyed between uses.
+
+    Kept page streams and the last recorded span must leave exactly what
+    the oracle computes afresh, across re-programming and release.
+    """
+    engines = (MemoryEncryptionEngine(), _ReleasingOracle())
+    stores = (bytearray(REUSED_FRAMES * PAGE_SIZE),
+              bytearray(REUSED_FRAMES * PAGE_SIZE))
+    readers = [lambda addr, n, store=store: bytes(store[addr:addr + n])
+               for store in stores]
+    generation = 0
+
+    def program(keyid):
+        for engine in engines:
+            engine.program_key(keyid, bytes([keyid, generation]) * 16,
+                               from_ems=True)
+
+    for keyid in (1, 2):
+        program(keyid)
+    for kind, shape, frame, offset, length, keyid, fill in ops:
+        paddr, length = _reused_span(shape, frame, offset, length)
+        if kind == "tamper":
+            for store in stores:
+                store[paddr] ^= fill | 1
+            continue
+        if keyid == HOST_KEYID and kind in ("reprogram", "release"):
+            continue
+        if kind == "reprogram":
+            generation += 1
+            program(keyid)
+            continue
+        if kind == "release":
+            for engine in engines:
+                engine.release_key(keyid, from_ems=True)
+            continue
+        seen = []
+        for engine, store, read_raw in zip(engines, stores, readers):
+            if kind == "write":
+                plain = bytes([fill]) * length
+                store[paddr:paddr + length] = engine.encrypt_access(
+                    paddr, plain, keyid)
+                engine.record_macs(paddr, length, keyid, read_raw)
+            raw = bytes(store[paddr:paddr + length])
+            seen.append((_verdict(engine, paddr, length, keyid, read_raw),
+                         engine.decrypt_access(paddr, raw, keyid)))
+        assert seen[0] == seen[1]
+    assert stores[0] == stores[1]
+    assert engines[0]._macs == engines[1]._macs

@@ -7,7 +7,9 @@ import hmac
 
 import pytest
 
+import repro.hw.encryption_engine as engine_module
 from repro.common.constants import MAC_BITS, PAGE_SIZE
+from repro.crypto.cipher import KeystreamCipher
 from repro.errors import IntegrityViolation, IsolationViolation, KeySlotExhausted
 from repro.hw.encryption_engine import MemoryEncryptionEngine
 from repro.hw.memory import PhysicalMemory
@@ -116,3 +118,86 @@ def test_unprogrammed_keyid_decrypts_to_garbage(memory: PhysicalMemory):
     memory.write(0x6000, b"plaintext-bytes!", keyid=0)
     out = memory.read(0x6000, 16, keyid=777)  # never programmed
     assert out != b"plaintext-bytes!"
+
+
+def _rekey(engine: MemoryEncryptionEngine, keyid: int, key: bytes,
+           how: str) -> None:
+    """Install ``key`` in slot ``keyid``, over the old key or after release."""
+    if how == "release":
+        engine.release_key(keyid, from_ems=True)
+    engine.program_key(keyid, key, from_ems=True)
+
+
+@pytest.mark.parametrize("how", ["reprogram", "release"])
+def test_new_key_does_not_reuse_the_old_keys_page_stream(how):
+    """A frame's stream kept under key A is gone once key B is in the slot."""
+    key_a, key_b, plain = b"a" * 32, b"b" * 32, bytes(range(256)) * 16
+    mem = PhysicalMemory(1024 * 1024)
+    engine = mem.encryption_engine = MemoryEncryptionEngine()
+    engine.program_key(1, key_a, from_ems=True)
+    for _ in range(2):
+        mem.write(3 * PAGE_SIZE, plain, keyid=1)
+    _rekey(engine, 1, key_b, how)
+    mem.write(3 * PAGE_SIZE, plain, keyid=1)
+    assert mem.read_raw(3 * PAGE_SIZE, PAGE_SIZE) == \
+        KeystreamCipher(key_b).encrypt(plain, 3 * PAGE_SIZE)
+    assert mem.read(3 * PAGE_SIZE, PAGE_SIZE, keyid=1) == plain
+
+
+@pytest.mark.parametrize("how", ["reprogram", "release"])
+def test_new_key_does_not_reuse_the_old_keys_line_macs(how):
+    """A line recorded under key A fails its MAC when read under key B."""
+    mem = PhysicalMemory(1024 * 1024)
+    engine = mem.encryption_engine = MemoryEncryptionEngine()
+    engine.program_key(1, b"a" * 32, from_ems=True)
+    mem.write(0x2000, b"A" * 64, keyid=1)
+    _rekey(engine, 1, b"b" * 32, how)
+    with pytest.raises(IntegrityViolation,
+                       match=r"^MAC mismatch at line 0x2000 \(keyid 1\)$"):
+        mem.read(0x2000, 64, keyid=1)
+
+
+def test_page_stream_is_kept_from_the_second_whole_page_access(monkeypatch):
+    """Count the keystream windows and line MACs the engine computes."""
+    computed = {"stream": 0, "encrypt": 0, "mac": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            computed[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(KeystreamCipher, "keystream",
+                        counting("stream", KeystreamCipher.keystream))
+    monkeypatch.setattr(KeystreamCipher, "encrypt",
+                        counting("encrypt", KeystreamCipher.encrypt))
+    monkeypatch.setattr(engine_module, "truncated_mac",
+                        counting("mac", engine_module.truncated_mac))
+    mem = PhysicalMemory(1024 * 1024)
+    engine = mem.encryption_engine = MemoryEncryptionEngine()
+    engine.program_key(1, b"k" * 32, from_ems=True)
+    frame = 5 * PAGE_SIZE
+
+    def kept():
+        return {number for number, stream in engine._streams[1].items()
+                if stream is not None}
+
+    mem.write(frame, b"x" * PAGE_SIZE, keyid=1)      # first: computed, not kept
+    assert (computed, kept()) == ({"stream": 1, "encrypt": 0, "mac": 64}, set())
+    assert mem.read(frame, PAGE_SIZE, keyid=1) == b"x" * PAGE_SIZE  # second
+    assert (computed, kept()) == ({"stream": 2, "encrypt": 0, "mac": 64}, {5})
+    mem.write(frame, b"y" * PAGE_SIZE, keyid=1)      # third: sliced
+    assert mem.read(frame + 128, 64, keyid=1) == b"y" * 64
+    assert computed == {"stream": 2, "encrypt": 0, "mac": 128}
+
+    # A line whose stored bytes changed since the span was recorded is
+    # MACed again, and rejected.
+    raw = mem.read_raw(frame + 128, 64)
+    mem.write_raw(frame + 128, bytes([raw[0] ^ 1]) + raw[1:])
+    with pytest.raises(IntegrityViolation):
+        mem.read(frame + 128, 64, keyid=1)
+    assert computed["mac"] == 129
+
+    engine.release_key(1, from_ems=True)
+    assert 1 not in engine._streams
+    assert engine._last_span is None
