@@ -16,13 +16,13 @@ Layout:
 * :mod:`repro.analysis.project` — source discovery, module naming,
   and the repo-wide import graph.
 * :mod:`repro.analysis.rules` — the pluggable rule framework and the
-  TEE001–TEE005 rules.
+  TEE001–TEE008 and TEE012 rules.
 * :mod:`repro.analysis.baseline` — checked-in baseline entries and
   inline ``# teelint: disable=...`` suppressions.
 * :mod:`repro.analysis.engine` — orchestration: scan, run rules,
   apply suppressions and the baseline.
-* :mod:`repro.analysis.render` — human, JSON, and GitHub-annotation
-  output.
+* :mod:`repro.analysis.render` — human, JSON, GitHub-annotation, and
+  SARIF output.
 * :mod:`repro.analysis.cli` — the ``python -m repro lint`` surface.
 """
 

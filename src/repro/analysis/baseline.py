@@ -17,7 +17,6 @@ Two escape hatches, both loud:
 from __future__ import annotations
 
 import dataclasses
-import datetime
 import json
 import re
 from pathlib import Path
@@ -42,39 +41,27 @@ def line_suppresses(source_line: str, rule: str) -> bool:
     return rule in {r.strip() for r in rules.split(",")}
 
 
+class BaselineError(ValueError):
+    """A baseline file that cannot be read or does not parse."""
+
+
 @dataclasses.dataclass
 class BaselineEntry:
-    """One documented exception.
-
-    ``added``/``expires`` are optional ISO dates (``YYYY-MM-DD``). An
-    entry past its ``expires`` date still matches — the lint stays
-    green — but every run warns about it until the exception is
-    re-justified or the finding fixed: documented exceptions cannot
-    live forever by default.
-    """
+    """One documented exception."""
 
     fingerprint: str
     rule: str
     path: str
     key: str
     reason: str
-    added: str = ""
-    expires: str = ""
 
     def to_dict(self) -> dict:
-        """The JSON form stored in the baseline file (no empty dates)."""
-        out = dataclasses.asdict(self)
-        return {k: v for k, v in out.items() if v != ""}
+        """The JSON form stored in the baseline file."""
+        return dataclasses.asdict(self)
 
-    def expired(self, today: datetime.date) -> bool:
-        """Is this entry past its ``expires`` date?"""
-        if not self.expires:
-            return False
-        try:
-            expires = datetime.date.fromisoformat(self.expires)
-        except ValueError:
-            return True     # unparsable date: treat as expired, loudly
-        return expires < today
+
+#: The fields every stored entry carries, no more and no fewer.
+_ENTRY_FIELDS = frozenset(f.name for f in dataclasses.fields(BaselineEntry))
 
 
 class Baseline:
@@ -96,51 +83,51 @@ class Baseline:
         live = {f.fingerprint for f in findings}
         return [e for e in self.entries if e.fingerprint not in live]
 
-    def expired_entries(self,
-                        today: datetime.date) -> list[BaselineEntry]:
-        """Entries past their ``expires`` date (re-justify or fix)."""
-        return [e for e in self.entries if e.expired(today)]
-
     # -- persistence --------------------------------------------------------
 
     @classmethod
     def load(cls, path: Path | str) -> "Baseline":
-        """Read the baseline file; a missing file is an empty baseline."""
+        """Read the baseline file; a missing file is an empty baseline.
+
+        Raises :class:`BaselineError` when the file cannot be read, is
+        not JSON, or holds an entry without exactly the entry fields.
+        """
         path = Path(path)
         if not path.exists():
             return cls()
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return cls([BaselineEntry(**entry)
-                    for entry in data.get("findings", [])])
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise BaselineError(
+                f"cannot read baseline {path}: {exc}") from exc
+        entries = data.get("findings", []) if isinstance(data, dict) \
+            else None
+        if not isinstance(entries, list):
+            raise BaselineError(
+                f"baseline {path} must be an object with a findings list")
+        for number, entry in enumerate(entries, 1):
+            if not isinstance(entry, dict) or set(entry) != _ENTRY_FIELDS:
+                raise BaselineError(
+                    f"baseline {path}: entry {number} must have exactly "
+                    f"the fields {', '.join(sorted(_ENTRY_FIELDS))}")
+        return cls([BaselineEntry(**entry) for entry in entries])
 
     @classmethod
     def from_findings(cls, findings: list[Finding],
-                      reason: str = "baselined pre-existing finding",
-                      added: datetime.date | None = None,
-                      expire_days: int | None = None) -> "Baseline":
-        """Accept every current finding (the ``--write-baseline`` path).
-
-        ``added`` stamps the entries with a date; ``expire_days`` (with
-        ``added``) additionally sets ``expires`` so the exception
-        self-reports once it outlives its welcome.
-        """
-        added_iso = added.isoformat() if added is not None else ""
-        expires_iso = ""
-        if added is not None and expire_days is not None:
-            expires_iso = (added + datetime.timedelta(
-                days=expire_days)).isoformat()
+                      reason: str = "baselined pre-existing finding"
+                      ) -> "Baseline":
+        """Accept every current finding (the ``--write-baseline`` path)."""
         entries = [BaselineEntry(
             fingerprint=f.fingerprint, rule=f.rule, path=f.path,
-            key=f.key, reason=reason, added=added_iso,
-            expires=expires_iso) for f in findings]
+            key=f.key, reason=reason) for f in findings]
         # One entry per fingerprint: same-key findings in one file share it.
         unique: dict[str, BaselineEntry] = {}
         for entry in entries:
             unique.setdefault(entry.fingerprint, entry)
         return cls(list(unique.values()))
 
-    def save(self, path: Path | str) -> None:
-        """Write the checked-in JSON form (sorted, diff-friendly)."""
+    def render(self) -> str:
+        """The checked-in JSON form (sorted, diff-friendly)."""
         payload = {
             "comment": ("teelint baseline: documented exceptions only. "
                         "Every entry needs a reason; stale entries are "
@@ -149,5 +136,8 @@ class Baseline:
                 (e.to_dict() for e in self.entries),
                 key=lambda d: (d["path"], d["rule"], d["key"])),
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n",
-                              encoding="utf-8")
+        return json.dumps(payload, indent=2)
+
+    def save(self, path: Path | str) -> None:
+        """Write :meth:`render` to ``path``."""
+        Path(path).write_text(self.render() + "\n", encoding="utf-8")

@@ -1,28 +1,22 @@
 """The ``python -m repro lint`` surface.
 
 Exit status: 0 when clean (or everything is baselined/suppressed),
-1 when blocking findings remain, 2 on usage errors. ``--write-baseline``
-accepts the current findings as documented exceptions (edit the reasons
-afterwards — "baselined pre-existing finding" is a placeholder, not
-documentation).
-
-Incremental flags: caching is on by default (``.teelint-cache/`` in
-the cwd; ``--no-cache`` / ``--cache-dir`` override), ``--changed``
-scopes the report to git-modified files plus their reverse
-dependencies, and ``--stats`` prints one machine-parseable timing
-line after the report.
+1 when blocking findings remain, 2 on usage errors: a missing scan
+path, an unknown rule id, an unreadable or malformed baseline, a
+``--baseline`` file that does not exist (unless ``--write-baseline``
+is creating it), or an artifact that cannot be written.
+``--write-baseline`` accepts the current findings as documented
+exceptions (edit the reasons afterwards — "baselined pre-existing
+finding" is a placeholder, not documentation).
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import BASELINE_FILENAME, Baseline
-from repro.analysis.cache import CACHE_DIRNAME, LintCache
+from repro.analysis.baseline import BASELINE_FILENAME, Baseline, BaselineError
 from repro.analysis.engine import run_lint
 from repro.analysis.render import (
     render_github,
@@ -52,32 +46,6 @@ def default_baseline_path() -> Path:
     return cwd_candidate
 
 
-def git_changed_files() -> set[Path] | None:
-    """Absolute paths of git-modified + untracked files, or ``None``
-    when git is unavailable / the cwd is not a work tree."""
-    def _git(*argv: str) -> list[str] | None:
-        try:
-            proc = subprocess.run(
-                ["git", *argv], capture_output=True, text=True,
-                timeout=30, check=False)
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        return proc.stdout.splitlines()
-
-    top = _git("rev-parse", "--show-toplevel")
-    if not top:
-        return None
-    root = Path(top[0].strip())
-    changed = _git("diff", "--name-only", "HEAD")
-    untracked = _git("ls-files", "--others", "--exclude-standard")
-    if changed is None or untracked is None:
-        return None
-    return {(root / rel).resolve()
-            for rel in changed + untracked if rel.strip()}
-
-
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the lint arguments (shared with the ``repro`` CLI)."""
     parser.add_argument(
@@ -102,10 +70,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--write-baseline", action="store_true",
         help="accept current findings into the baseline file and exit 0")
     parser.add_argument(
-        "--baseline-expire", type=int, default=None, metavar="DAYS",
-        help="with --write-baseline: stamp entries with added/expires "
-             "dates DAYS from today (expired entries warn on every run)")
-    parser.add_argument(
         "--json-out", default=None, metavar="PATH",
         help="additionally write the JSON findings artifact here "
              "(composes with --write-baseline)")
@@ -113,19 +77,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--sarif-out", default=None, metavar="PATH",
         help="additionally write the SARIF 2.1.0 artifact here (for "
              "GitHub code scanning; composes with any --format)")
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="report only findings in git-modified files and their "
-             "reverse dependencies")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache for this run")
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help=f"cache directory (default: {CACHE_DIRNAME} in the cwd)")
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print a machine-parseable timing line after the report")
 
 
 def sarif_base_path(paths: list[Path]) -> str:
@@ -151,7 +102,7 @@ def sarif_base_path(paths: list[Path]) -> str:
     return "" if rel == Path(".") else rel.as_posix()
 
 
-def _write_artifact(path: str, text: str) -> int:
+def _write_artifact(path: Path | str, text: str) -> int:
     try:
         Path(path).write_text(text + "\n", encoding="utf-8")
     except OSError as exc:
@@ -161,8 +112,19 @@ def _write_artifact(path: str, text: str) -> int:
     return 0
 
 
-def _write_json_out(path: str, result) -> int:
-    return _write_artifact(path, render_json(result))
+def _load_baseline(args: argparse.Namespace,
+                   path: Path) -> Baseline | None:
+    """The baseline this run applies, or ``None`` after an error."""
+    if args.no_baseline:
+        return Baseline()
+    if args.baseline and not args.write_baseline and not path.exists():
+        print(f"error: no such baseline: {path}", file=sys.stderr)
+        return None
+    try:
+        return Baseline.load(path)
+    except BaselineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def run(args: argparse.Namespace) -> int:
@@ -173,81 +135,45 @@ def run(args: argparse.Namespace) -> int:
             print(f"error: no such path: {path}", file=sys.stderr)
             return 2
 
-    if args.baseline_expire is not None and not args.write_baseline:
-        print("error: --baseline-expire only applies with "
-              "--write-baseline", file=sys.stderr)
-        return 2
-
     only = tuple(r.strip() for r in args.rules.split(",") if r.strip())
     baseline_path = (Path(args.baseline) if args.baseline
                      else default_baseline_path())
-    baseline = Baseline() if args.no_baseline \
-        else Baseline.load(baseline_path)
-
-    cache = None
-    if not args.no_cache:
-        cache_dir = (Path(args.cache_dir) if args.cache_dir
-                     else Path.cwd() / CACHE_DIRNAME)
-        cache = LintCache(cache_dir)
-
-    changed_files: set[Path] | None = None
-    if args.changed:
-        changed_files = git_changed_files()
-        if changed_files is None:
-            print("error: --changed needs a git work tree (git "
-                  "rev-parse/diff failed)", file=sys.stderr)
-            return 2
-
-    today = datetime.date.today()  # teelint: disable=TEE002 -- lint
-    # tooling wall-clock date for baseline expiry, not model state
+    baseline = _load_baseline(args, baseline_path)
+    if baseline is None:
+        return 2
 
     try:
-        result = run_lint(paths, baseline=baseline, only=only,
-                          cache=cache, changed_files=changed_files,
-                          today=today)
+        result = run_lint(paths, baseline=baseline, only=only)
     except ValueError as exc:  # unknown rule ids
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    base = sarif_base_path(paths)
+    artifacts = []
+    if args.json_out:
+        artifacts.append((args.json_out, render_json(result)))
+    if args.sarif_out:
+        artifacts.append((args.sarif_out,
+                          render_sarif(result, base_path=base)))
+
     if args.write_baseline:
-        expire = args.baseline_expire
-        new_baseline = Baseline.from_findings(
-            result.findings, added=today if expire is not None else None,
-            expire_days=expire)
-        new_baseline.save(baseline_path)
+        new_baseline = Baseline.from_findings(result.findings)
+        status = _write_artifact(baseline_path, new_baseline.render())
+        if status:
+            return status
         print(f"wrote {len(new_baseline)} baseline entr"
               f"{'y' if len(new_baseline) == 1 else 'ies'} to "
               f"{baseline_path}")
         print("edit each entry's reason: the baseline documents "
               "exceptions, it does not grant them")
-        if args.json_out:
-            status = _write_json_out(args.json_out, result)
-            if status:
-                return status
-        if args.sarif_out:
-            status = _write_artifact(args.sarif_out, render_sarif(
-                result, base_path=sarif_base_path(paths)))
-            if status:
-                return status
-        if args.stats:
-            print(result.stats_line())
-        return 0
-
-    base = sarif_base_path(paths)
-    renderer = {"human": render_human, "json": render_json,
-                "github": render_github,
-                "sarif": lambda r: render_sarif(r, base_path=base)
-                }[args.format]
-    print(renderer(result))
-    if args.json_out:
-        status = _write_json_out(args.json_out, result)
+    else:
+        renderer = {"human": render_human, "json": render_json,
+                    "github": render_github,
+                    "sarif": lambda r: render_sarif(r, base_path=base)
+                    }[args.format]
+        print(renderer(result))
+    for path, text in artifacts:
+        status = _write_artifact(path, text)
         if status:
             return status
-    if args.sarif_out:
-        status = _write_artifact(args.sarif_out, render_sarif(
-            result, base_path=base))
-        if status:
-            return status
-    if args.stats:
-        print(result.stats_line())
-    return 0 if result.ok else 1
+    return 0 if args.write_baseline or result.ok else 1

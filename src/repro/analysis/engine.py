@@ -1,31 +1,20 @@
 """Orchestration: scan sources, run rules, apply suppressions/baseline.
 
 :func:`run_lint` is the one entry point the CLI, CI, and the test
-suite's self-check all share. New in this PR:
-
-* an optional :class:`~repro.analysis.cache.LintCache` — a warm run
-  whose sources and rule versions are unchanged skips parsing *and*
-  rule execution entirely (the raw finding list is replayed from the
-  result cache; suppressions and the baseline are re-applied live);
-* ``changed_files`` scoping — findings are filtered to the given
-  files plus every module that transitively imports one (reverse
-  dependencies), powering ``python -m repro lint --changed``;
-* per-phase ``timings`` (milliseconds) surfaced by ``--stats``;
-* expired-baseline reporting (entries past their ``expires`` date).
+suite's self-check all share. Every run parses the scanned tree and
+runs each active rule once; suppressions and the baseline are applied
+to the deduplicated findings afterwards.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from pathlib import Path
 from typing import Iterable
 
-import datetime
-
 from repro.analysis.baseline import Baseline, BaselineEntry, line_suppresses
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import Project, discover_sources
+from repro.analysis.project import Project
 from repro.analysis.rules import Rule, all_rules
 
 
@@ -38,15 +27,6 @@ class LintResult:
     suppressed: list[Finding]          #: silenced by an inline comment
     stale_baseline: list[BaselineEntry]
     modules_scanned: int
-    #: baseline entries past their ``expires`` date (warn, don't fail).
-    expired_baseline: list[BaselineEntry] = \
-        dataclasses.field(default_factory=list)
-    #: phase -> milliseconds, plus cache hit/miss counters.
-    timings: dict[str, float] = dataclasses.field(default_factory=dict)
-    #: ``"hit"`` / ``"miss"`` / ``"off"`` for the result cache.
-    cache_state: str = "off"
-    #: modules kept by ``changed_files`` scoping (None = unscoped).
-    scoped_modules: int | None = None
 
     @property
     def blocking(self) -> list[Finding]:
@@ -64,20 +44,6 @@ class LintResult:
         for finding in self.findings:
             out[finding.severity.value] += 1
         return out
-
-    def stats_line(self) -> str:
-        """The machine-parseable one-liner behind ``--stats``."""
-        fields = [f"total_ms={self.timings.get('total_ms', 0.0):.1f}",
-                  f"scan_ms={self.timings.get('scan_ms', 0.0):.1f}",
-                  f"rules_ms={self.timings.get('rules_ms', 0.0):.1f}",
-                  f"modules={self.modules_scanned}",
-                  f"cache={self.cache_state}",
-                  f"parse_hits={int(self.timings.get('parse_hits', 0))}",
-                  f"parse_misses="
-                  f"{int(self.timings.get('parse_misses', 0))}"]
-        if self.scoped_modules is not None:
-            fields.append(f"scoped_modules={self.scoped_modules}")
-        return "teelint-stats: " + " ".join(fields)
 
 
 def _dedupe(raw: list[Finding]) -> list[Finding]:
@@ -101,94 +67,30 @@ def _dedupe(raw: list[Finding]) -> list[Finding]:
 def run_lint(paths: Iterable[Path | str],
              rules: list[Rule] | None = None,
              baseline: Baseline | None = None,
-             only: tuple[str, ...] = (),
-             *,
-             cache=None,
-             changed_files: set[Path] | None = None,
-             today: datetime.date | None = None) -> LintResult:
-    """Scan ``paths``, run the rule catalogue, fold in the baseline.
-
-    ``cache`` is an optional :class:`~repro.analysis.cache.LintCache`;
-    ``changed_files`` (absolute paths) scopes reported findings to the
-    changed modules plus their reverse dependencies; ``today`` enables
-    expired-baseline reporting.
-    """
-    t_start = time.perf_counter()  # teelint: disable=TEE002 -- lint
-    # tooling wall-clock, never part of the model's cycle accounting
-    files = discover_sources(paths)
+             only: tuple[str, ...] = ()) -> LintResult:
+    """Scan ``paths``, run the rule catalogue, fold in the baseline."""
     active = rules if rules is not None else all_rules(only)
     baseline = baseline if baseline is not None else Baseline()
+    project = Project.scan(paths)
 
-    deduped: list[Finding] | None = None
-    modules: dict[str, str] = {}       #: module name -> relpath
-    imports: dict[str, list[str]] = {}
-    modules_scanned = 0
-    cache_state = "off"
-    scan_ms = rules_ms = 0.0
-    result_key = None
-    if cache is not None:
-        result_key = cache.result_key(files, active)
-        payload = cache.load_result(result_key)
-        if payload is not None:
-            deduped = cache.findings_from_payload(payload)
-            modules = payload.get("modules", {})
-            imports = payload.get("imports", {})
-            modules_scanned = payload.get("modules_scanned",
-                                          len(modules))
-            cache_state = "hit"
+    raw: list[Finding] = []
+    for failure in project.failures:
+        raw.append(Finding(
+            rule="TEE000", severity=Severity.ERROR,
+            path=failure.relpath, line=failure.line,
+            key=f"parse:{failure.relpath}",
+            message=f"cannot parse: {failure.message}",
+            fix_hint="teelint needs parseable sources"))
+    for rule in active:
+        raw.extend(rule.check(project))
+    deduped = _dedupe(raw)
 
-    if deduped is None:
-        t_scan = time.perf_counter()  # teelint: disable=TEE002
-        project = Project.scan(paths, parse_cache=cache) \
-            if not files else Project.from_files(files,
-                                                 parse_cache=cache)
-        scan_ms = (time.perf_counter() - t_scan) * 1e3  # teelint: disable=TEE002
-        raw: list[Finding] = []
-        for failure in project.failures:
-            raw.append(Finding(
-                rule="TEE000", severity=Severity.ERROR,
-                path=failure.relpath, line=failure.line,
-                key=f"parse:{failure.relpath}",
-                message=f"cannot parse: {failure.message}",
-                fix_hint="teelint needs parseable sources"))
-        t_rules = time.perf_counter()  # teelint: disable=TEE002
-        for rule in active:
-            raw.extend(rule.check(project))
-        rules_ms = (time.perf_counter() - t_rules) * 1e3  # teelint: disable=TEE002
-        deduped = _dedupe(raw)
-        modules = {m.name: m.relpath for m in project.modules}
-        imports = project.resolved_imports()
-        modules_scanned = len(project)
-        if cache is not None and result_key is not None:
-            cache.store_result(result_key, {
-                "modules_scanned": modules_scanned,
-                "modules": modules,
-                "imports": imports,
-                "findings": [f.to_dict() for f in deduped],
-            })
-            cache_state = "miss"
-
-    # ``--changed`` scoping: keep findings in changed modules plus
-    # everything that transitively imports one.
-    scoped_modules: int | None = None
-    reported = deduped
-    if changed_files is not None:
-        changed_resolved = {Path(p).resolve() for p in changed_files}
-        relpath_by_abs = {f.path: f.relpath for f in files}
-        changed_rel = {rel for abs_path, rel in relpath_by_abs.items()
-                       if abs_path in changed_resolved}
-        seeds = {name for name, rel in modules.items()
-                 if rel in changed_rel}
-        keep = Project.reverse_closure(imports, seeds)
-        keep_rel = {modules[name] for name in keep if name in modules}
-        reported = [f for f in deduped if f.path in keep_rel]
-        scoped_modules = len(keep_rel)
-
-    lines_by_rel = {f.relpath: f.text.splitlines() for f in files}
+    lines_by_rel = {m.relpath: m.lines for m in project.modules}
+    lines_by_rel.update((f.relpath, f.lines) for f in project.failures)
     live: list[Finding] = []
     suppressed: list[Finding] = []
     baselined: list[Finding] = []
-    for finding in reported:
+    for finding in deduped:
         lines = lines_by_rel.get(finding.path, [])
         source_line = (lines[finding.line - 1]
                        if 1 <= finding.line <= len(lines) else "")
@@ -199,22 +101,7 @@ def run_lint(paths: Iterable[Path | str],
         else:
             live.append(finding)
 
-    # A scoped run sees only a slice of the findings: stale-entry
-    # detection would produce false positives, so it is skipped.
-    stale = ([] if changed_files is not None
-             else baseline.stale_entries(deduped))
-    expired = (baseline.expired_entries(today)
-               if today is not None else [])
-
-    total_ms = (time.perf_counter() - t_start) * 1e3  # teelint: disable=TEE002
-    timings = {"total_ms": total_ms, "scan_ms": scan_ms,
-               "rules_ms": rules_ms}
-    if cache is not None:
-        timings["parse_hits"] = float(cache.parse_hits)
-        timings["parse_misses"] = float(cache.parse_misses)
-
     return LintResult(
         findings=live, baselined=baselined, suppressed=suppressed,
-        stale_baseline=stale, modules_scanned=modules_scanned,
-        expired_baseline=expired, timings=timings,
-        cache_state=cache_state, scoped_modules=scoped_modules)
+        stale_baseline=baseline.stale_entries(deduped),
+        modules_scanned=len(project))

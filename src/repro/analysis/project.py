@@ -72,41 +72,7 @@ class ParseFailure:
     relpath: str
     line: int
     message: str
-
-
-@dataclasses.dataclass
-class SourceFile:
-    """One discovered file, before parsing (the cache key unit)."""
-
-    path: Path            #: absolute path on disk
-    relpath: str          #: path relative to the scan root, posix style
-    text: str
-
-
-def discover_sources(roots: Iterable[Path | str]) -> list[SourceFile]:
-    """Every ``*.py`` under the given roots, read but not parsed.
-
-    Discovery is the cheap half of :meth:`Project.scan`; the incremental
-    engine runs it on every invocation to compute content hashes, and
-    only parses when the result cache misses.
-    """
-    files: list[SourceFile] = []
-    seen: set[Path] = set()
-    for root in roots:
-        root = Path(root).resolve()
-        candidates = [root] if root.is_file() else sorted(
-            root.rglob("*.py"))
-        for path in candidates:
-            if "__pycache__" in path.parts or path in seen:
-                continue
-            seen.add(path)
-            rel = (path.relative_to(root) if root.is_dir()
-                   else Path(path.name))
-            relpath = (Path(root.name) / rel).as_posix()
-            files.append(SourceFile(
-                path=path, relpath=relpath,
-                text=path.read_text(encoding="utf-8")))
-    return files
+    lines: list[str]      #: source split into lines (for suppressions)
 
 
 class Project:
@@ -122,41 +88,34 @@ class Project:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def scan(cls, roots: Iterable[Path | str],
-             parse_cache=None) -> "Project":
+    def scan(cls, roots: Iterable[Path | str]) -> "Project":
         """Parse every ``*.py`` under the given roots."""
-        return cls.from_files(discover_sources(roots),
-                              parse_cache=parse_cache)
-
-    @classmethod
-    def from_files(cls, files: list[SourceFile],
-                   parse_cache=None) -> "Project":
-        """Parse already-discovered sources (the cache-aware path).
-
-        ``parse_cache`` is anything with a
-        ``parse(text, filename) -> ast.Module`` method (see
-        :class:`repro.analysis.cache.LintCache`); ``None`` parses
-        directly.
-        """
         modules: list[SourceModule] = []
         failures: list[ParseFailure] = []
-        for source in files:
-            try:
-                if parse_cache is not None:
-                    tree = parse_cache.parse(source.text,
-                                             filename=str(source.path))
-                else:
-                    tree = ast.parse(source.text,
-                                     filename=str(source.path))
-            except SyntaxError as exc:
-                failures.append(ParseFailure(
-                    source.relpath, exc.lineno or 1,
-                    exc.msg or "syntax error"))
-                continue
-            modules.append(SourceModule(
-                path=source.path, relpath=source.relpath,
-                name=module_name_for(source.path), tree=tree,
-                lines=source.text.splitlines()))
+        seen: set[Path] = set()
+        for root in roots:
+            root = Path(root).resolve()
+            candidates = [root] if root.is_file() else sorted(
+                root.rglob("*.py"))
+            for path in candidates:
+                if "__pycache__" in path.parts or path in seen:
+                    continue
+                seen.add(path)
+                rel = (path.relative_to(root) if root.is_dir()
+                       else Path(path.name))
+                relpath = (Path(root.name) / rel).as_posix()
+                text = path.read_text(encoding="utf-8")
+                try:
+                    tree = ast.parse(text, filename=str(path))
+                except SyntaxError as exc:
+                    failures.append(ParseFailure(
+                        relpath, exc.lineno or 1,
+                        exc.msg or "syntax error", text.splitlines()))
+                    continue
+                modules.append(SourceModule(
+                    path=path, relpath=relpath,
+                    name=module_name_for(path), tree=tree,
+                    lines=text.splitlines()))
         return cls(modules, failures)
 
     # -- the import graph ---------------------------------------------------
@@ -232,43 +191,6 @@ class Project:
                     continue
                 adj[name].add(target)
         return adj
-
-    def resolved_imports(self) -> dict[str, list[str]]:
-        """Module name -> scanned modules it imports (deduped, sorted).
-
-        The serializable form of the import graph; the result cache
-        stores it so ``--changed`` can compute reverse dependencies
-        without re-parsing anything.
-        """
-        out: dict[str, list[str]] = {}
-        for name, edges in self.import_edges().items():
-            targets = {t for t in (self._to_scanned(e.target)
-                                   for e in edges)
-                       if t is not None and t != name}
-            out[name] = sorted(targets)
-        return out
-
-    @staticmethod
-    def reverse_closure(imports: dict[str, list[str]],
-                        seeds: set[str]) -> set[str]:
-        """Seeds plus every module that (transitively) imports one.
-
-        Works on the serialized :meth:`resolved_imports` form so both
-        the live and the cache-hit paths share it.
-        """
-        reverse: dict[str, set[str]] = {}
-        for name, targets in imports.items():
-            for target in targets:
-                reverse.setdefault(target, set()).add(name)
-        closure = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            current = frontier.pop()
-            for dependent in reverse.get(current, ()):
-                if dependent not in closure:
-                    closure.add(dependent)
-                    frontier.append(dependent)
-        return closure
 
     def _to_scanned(self, dotted: str) -> str | None:
         """Longest scanned-module prefix of a dotted import target."""

@@ -28,39 +28,27 @@ def render_human(result: LintResult) -> str:
     if result.findings:
         lines.append("")
     counts = result.counts()
-    summary = (
+    lines.append(
         f"teelint: {result.modules_scanned} modules scanned, "
         f"{counts['error']} error(s), {counts['warning']} warning(s), "
         f"{len(result.baselined)} baselined, "
         f"{len(result.suppressed)} suppressed")
-    if result.scoped_modules is not None:
-        summary += (f" (scoped to {result.scoped_modules} changed/"
-                    f"dependent modules)")
-    lines.append(summary)
     for entry in result.stale_baseline:
         lines.append(f"stale baseline entry: {entry.rule} {entry.path} "
                      f"({entry.key}) — no longer fires; drop it")
-    for entry in result.expired_baseline:
-        lines.append(f"expired baseline entry: {entry.rule} {entry.path} "
-                     f"({entry.key}) — expired {entry.expires}; fix the "
-                     f"finding or re-justify the exception")
     return "\n".join(lines)
 
 
 def render_json(result: LintResult) -> str:
     """The machine-readable artifact uploaded by CI."""
     payload = {
-        "version": 2,
+        "version": 3,
         "modules_scanned": result.modules_scanned,
         "counts": result.counts(),
         "findings": [f.to_dict() for f in result.findings],
         "baselined": [f.to_dict() for f in result.baselined],
         "suppressed": [f.to_dict() for f in result.suppressed],
         "stale_baseline": [e.to_dict() for e in result.stale_baseline],
-        "expired_baseline": [e.to_dict()
-                             for e in result.expired_baseline],
-        "cache_state": result.cache_state,
-        "scoped_modules": result.scoped_modules,
         "ok": result.ok,
     }
     return json.dumps(payload, indent=2)

@@ -33,20 +33,6 @@ class Rule(Protocol):
         ...  # pragma: no cover - protocol signature only
 
 
-def rule_version(rule: Rule) -> int:
-    """A rule's declared behaviour version (defaults to 1).
-
-    Bumping ``version`` on a rule class invalidates every cached
-    result computed with the older behaviour.
-    """
-    return int(getattr(rule, "version", 1))
-
-
-def rules_signature(rules: list[Rule]) -> str:
-    """Stable ``id:version`` signature of an active rule set."""
-    return ",".join(sorted(f"{r.id}:{rule_version(r)}" for r in rules))
-
-
 #: id -> rule class, in registration order.
 _REGISTRY: dict[str, Type] = {}
 
@@ -71,9 +57,7 @@ def all_rules(only: tuple[str, ...] = ()) -> list[Rule]:
         lifecycle,
         registry,
         secretflow,
-        shardisolation,
         timing,
-        transfer,
     )
     unknown = set(only) - set(_REGISTRY)
     if unknown:

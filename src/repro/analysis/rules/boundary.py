@@ -50,7 +50,6 @@ class BoundaryRule:
 
     id = "TEE001"
     title = "decoupling boundary: cs and ems may never import each other"
-    version = 2  # v2: repro.sanitize joined the mediator set
 
     def check(self, project: Project) -> Iterator[Finding]:
         """Report forbidden direct edges, then transitive paths."""

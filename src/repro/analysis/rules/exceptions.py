@@ -92,7 +92,6 @@ class ExceptionSafetyRule:
 
     id = "TEE007"
     title = "exception safety: fault paths degrade loudly, with status"
-    version = 1
 
     def check(self, project: Project) -> Iterator[Finding]:
         """Scan every handler and every response construction."""

@@ -19,22 +19,16 @@ module's directory to the nearest ``tests/`` sibling (the repo layout
 then reading every ``test_*.py`` beneath it. A missing corpus is a
 WARNING, not silence — the rule cannot vouch for coverage it cannot
 see.
-
-Cache note: the corpus lives *outside* the scanned sources, so this
-rule also exposes :meth:`corpus_signature`, which the result cache
-folds into its key — editing a chaos test invalidates cached TEE012
-results exactly like editing a source file does.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import Project, SourceFile
+from repro.analysis.project import Project
 from repro.analysis.rules import register
 from repro.analysis.rules.registry import (
     CONSULT_METHODS,
@@ -70,7 +64,6 @@ class FaultCoverageRule:
 
     id = "TEE012"
     title = "fault coverage: every point fires and has a chaos test"
-    version = 1
 
     def check(self, project: Project) -> Iterator[Finding]:
         """Cross-check the catalogue against sources and chaos tests."""
@@ -128,31 +121,6 @@ class FaultCoverageRule:
                              f"{point!r}; its failure path ships "
                              f"unexercised"),
                     fix_hint=FIX_HINT)
-
-    # -- cache integration ---------------------------------------------------
-
-    def corpus_signature(self, files: list[SourceFile]) -> str:
-        """Digest of the chaos corpus, folded into the result-cache key.
-
-        The corpus is input the source manifest cannot see; without
-        this, a warm cache would replay stale TEE012 verdicts after a
-        chaos test is added or deleted.
-        """
-        plan = next(
-            (f for f in files
-             if f.relpath.endswith("faults/plan.py")), None)
-        if plan is None:
-            return "no-plan"
-        corpus = chaos_corpus(Path(plan.path))
-        if corpus is None:
-            return "no-corpus"
-        digest = hashlib.sha256()
-        for path in corpus:
-            digest.update(path.name.encode("utf-8"))
-            digest.update(
-                hashlib.sha256(self._read(path).encode("utf-8"))
-                .digest())
-        return digest.hexdigest()
 
     @staticmethod
     def _read(path: Path) -> str:

@@ -103,7 +103,6 @@ class LifecycleRule:
 
     id = "TEE006"
     title = "lifecycle typestate: enclave transitions happen in order"
-    version = 1
 
     def check(self, project: Project) -> Iterator[Finding]:
         """Interpret every function body against the state machine."""

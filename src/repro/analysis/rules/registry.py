@@ -69,8 +69,6 @@ class RegistryConsistencyRule:
 
     id = "TEE005"
     title = "registry consistency: fault points and metric names resolve"
-    #: v2: quantile_histogram declarations join the duplicate check.
-    version = 2
 
     def check(self, project: Project) -> Iterator[Finding]:
         """Cross-check fault-point and metric names against declarations."""

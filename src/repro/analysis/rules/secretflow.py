@@ -62,10 +62,6 @@ class SecretFlowRule:
 
     id = "TEE004"
     title = "secret flow: key material stays out of observable sinks"
-    #: bumped when findings change for identical sources (cache key).
-    #: v3: flight-recorder sinks (record_event / flightrec.* receivers).
-    #: v4: teesan report sinks (report_violation / format_violation).
-    version = 4
 
     def check(self, project: Project) -> Iterator[Finding]:
         """Report every secret-to-sink flow event in the project."""

@@ -68,7 +68,6 @@ class TimingRule:
 
     id = "TEE008"
     title = "secret-dependent timing: tainted branches cost equally"
-    version = 1
 
     def check(self, project: Project) -> Iterator[Finding]:
         """Compare arm cost signatures of every tainted branch."""

@@ -666,8 +666,8 @@ class ShardedEMCall:
         #: fleet-neutral operations. Designated once here, from the
         #: constructor argument — shard 0 always exists and never
         #: leaves the fleet, so this is a role, not a routing decision
-        #: (TEE010 bans per-call-site fleet indexing for everything
-        #: that *is* one).
+        #: (everything that *is* one routes through ``_resolve`` or
+        #: ``_place``, never a per-call-site fleet index).
         self._primary = gates[0]
         #: Placement/resolution callbacks from the shard pool (the CS
         #: layer holds opaque callables only).

@@ -22,7 +22,7 @@ Subcommands::
 a quickstart-style enclave scenario that exercises the lifecycle, memory,
 shared-memory, and attestation primitives, then report from the registry
 or the tracer. Open the trace file in Perfetto (https://ui.perfetto.dev).
-``lint`` runs the :mod:`repro.analysis` rule catalogue (TEE001-TEE010
+``lint`` runs the :mod:`repro.analysis` rule catalogue (TEE001-TEE008
 and TEE012) over the package sources. ``sanitize`` runs the
 :mod:`repro.sanitize` runtime sanitizers (teesan) over sanitized
 scenarios — the dynamic twin of the static rules.
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="teelint: AST checks for the CS/EMS decoupling "
-                     "invariants (TEE001-TEE010, TEE012)")
+                     "invariants (TEE001-TEE008, TEE012)")
     configure_lint(lint)
     lint.set_defaults(func=_cmd_lint)
 

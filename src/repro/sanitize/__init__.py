@@ -9,9 +9,10 @@ live modelled platform, with ASan-style diagnostics:
   the CS<->EMS wire unencrypted, land on the raw DRAM bus, reach an
   observable surface (logs, metrics, flight recorder, codec output),
   or survive in a freed or regranted frame.
-* **OWN** — fleet-wide ownership epoch checking (dynamic TEE009/010):
-  double-grants across shard tables, raw writes inside a transfer
-  prepare/commit window, and unverified-manifest mutations.
+* **OWN** — fleet-wide ownership epoch checking (the runtime check of
+  the cross-shard transfer protocol): double-grants across shard
+  tables, raw writes inside a transfer prepare/commit window, and
+  unverified-manifest mutations.
 
 Sanitizers are strictly opt-in (``HyperTEESystem.enable_sanitizers``)
 and observe-only: with them disabled the platform is bit-identical.

@@ -1,4 +1,4 @@
-"""The OWN sanitizer: dynamic TEE009/TEE010.
+"""The OWN sanitizer: fleet-wide ownership and the transfer protocol.
 
 An epoch checker on frame and enclave ownership across EMS shards.
 Every ownership table on the platform reports its claims and releases

@@ -117,54 +117,3 @@ def test_unicode_reason_round_trips(tmp_path):
 ])
 def test_multi_id_disable_parsing(line, rule, expected):
     assert line_suppresses(line, rule) is expected
-
-
-# -- expiry metadata ---------------------------------------------------------
-
-def test_entries_without_dates_never_expire():
-    import datetime
-    entry = BaselineEntry(fingerprint="ab", rule="TEE001", path="p",
-                          key="k", reason="r")
-    assert not entry.expired(datetime.date(2099, 1, 1))
-
-
-def test_expiry_boundary_and_unparsable_dates():
-    import datetime
-    entry = BaselineEntry(fingerprint="ab", rule="TEE001", path="p",
-                          key="k", reason="r", added="2026-01-01",
-                          expires="2026-03-01")
-    assert not entry.expired(datetime.date(2026, 3, 1))  # expires EOD
-    assert entry.expired(datetime.date(2026, 3, 2))
-    broken = BaselineEntry(fingerprint="cd", rule="TEE001", path="p",
-                           key="k", reason="r", expires="not-a-date")
-    assert broken.expired(datetime.date(2026, 1, 1))
-
-
-def test_from_findings_stamps_added_and_expires(tmp_path):
-    import datetime
-    added = datetime.date(2026, 8, 5)
-    baseline = Baseline.from_findings([make_finding()], reason="why",
-                                      added=added, expire_days=90)
-    entry = baseline.entries[0]
-    assert entry.added == "2026-08-05"
-    assert entry.expires == "2026-11-03"
-    # Round-trip through the file keeps the dates.
-    path = tmp_path / "b.json"
-    baseline.save(path)
-    loaded = Baseline.load(path).entries[0]
-    assert (loaded.added, loaded.expires) == ("2026-08-05", "2026-11-03")
-    # Dateless entries serialize without the keys at all.
-    bare = Baseline.from_findings([make_finding()], reason="why")
-    assert "added" not in bare.entries[0].to_dict()
-
-
-def test_expired_entries_listed_but_still_matching():
-    import datetime
-    entry = BaselineEntry(
-        fingerprint=make_finding().fingerprint, rule="TEE001",
-        path="repro/cs/x.py", key="a->b", reason="r",
-        added="2026-01-01", expires="2026-02-01")
-    baseline = Baseline([entry])
-    today = datetime.date(2026, 8, 5)
-    assert baseline.expired_entries(today) == [entry]
-    assert baseline.matches(make_finding())  # expired != unmatched

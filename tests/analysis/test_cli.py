@@ -79,8 +79,12 @@ def test_lint_missing_path_exits_two(capsys):
     assert main(["lint", "/nonexistent/tree"]) == 2
 
 
-def test_lint_unknown_rule_exits_two(capsys):
-    assert main(["lint", GOOD, "--rules", "TEE999"]) == 2
+# TEE009-TEE011 are retired: their IDs stay unassigned, so old
+# baselines and SARIF uploads never point at a different rule.
+@pytest.mark.parametrize("rule", ["TEE999", "TEE009", "TEE010", "TEE011"])
+def test_lint_unknown_rule_exits_two(rule, capsys):
+    assert main(["lint", GOOD, "--rules", rule]) == 2
+    assert f"unknown rule ids: ['{rule}']" in capsys.readouterr().err
 
 
 def test_warning_only_findings_do_not_block(capsys):
@@ -96,7 +100,7 @@ def test_warning_only_findings_do_not_block(capsys):
 def test_json_format_is_valid_and_complete(capsys):
     assert main(["lint", BAD, "--no-baseline", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 2
+    assert payload["version"] == 3
     assert payload["ok"] is False
     assert payload["counts"]["error"] == len(payload["findings"])
     first = payload["findings"][0]
@@ -139,14 +143,13 @@ def test_sarif_out_writes_the_artifact_with_repo_relative_uris(
     monkeypatch.chdir(REPO_ROOT)
     out = tmp_path / "teelint.sarif"
     assert main(["lint", "src/repro/eval", "--no-baseline",
-                 "--rules", "TEE001", "--no-cache",
-                 "--sarif-out", str(out)]) == 0
+                 "--rules", "TEE001", "--sarif-out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["runs"][0]["results"] == []
     capsys.readouterr()
 
     monkeypatch.chdir(FIXTURES / "tee001_bad")
-    assert main(["lint", "repro", "--no-baseline", "--no-cache",
+    assert main(["lint", "repro", "--no-baseline",
                  "--sarif-out", str(out)]) == 1
     payload = json.loads(out.read_text())
     uris = [r["locations"][0]["physicalLocation"]["artifactLocation"]
@@ -188,3 +191,40 @@ def test_write_baseline_then_rerun_is_clean(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0 error(s)" in out
     assert "baselined" in out
+
+
+def test_json_out_composes_with_write_baseline(tmp_path, capsys):
+    baseline = tmp_path / "b.json"
+    artifact = tmp_path / "out.json"
+    assert main(["lint", BAD, "--baseline", str(baseline),
+                 "--write-baseline", "--json-out", str(artifact)]) == 0
+    assert baseline.exists()
+    payload = json.loads(artifact.read_text())
+    # The artifact captures the findings as they were accepted.
+    assert payload["findings"] and payload["ok"] is False
+
+
+def test_write_baseline_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "b.json"
+    assert main(["lint", BAD, "--baseline", str(target),
+                 "--write-baseline"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert "wrote" not in captured.out
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    json.dumps({"findings": [{"rule": "TEE001", "path": "repro/x.py",
+                              "key": "k", "reason": "r"}]}),
+    None,
+], ids=["invalid-json", "entry-without-fingerprint", "missing-file"])
+def test_bad_baseline_file_is_a_usage_error(content, tmp_path, capsys):
+    baseline = tmp_path / "b.json"
+    if content is not None:
+        baseline.write_text(content)
+    assert main(["lint", GOOD, "--baseline", str(baseline)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(baseline) in err

@@ -100,48 +100,13 @@ def test_github_property_escaping_composes_with_percent():
     assert "file=repro/50%25%2Cx.py," in out
 
 
-# -- expired baseline entries ------------------------------------------------
-
-EXPIRED = BaselineEntry(fingerprint="cd" * 8, rule="TEE004",
-                        path="repro/old.py", key="flow:x->print",
-                        reason="time-boxed", added="2026-01-01",
-                        expires="2026-02-01")
-
-
-def result_with_expired():
-    result = result_with()
-    result.expired_baseline = [EXPIRED]
-    return result
-
-
-def test_human_report_warns_on_expired_entries():
-    out = render_human(result_with_expired())
-    assert "expired baseline entry: TEE004 repro/old.py" in out
-    assert "2026-02-01" in out
-
-
-def test_json_carries_expired_entries_and_cache_state():
-    import json
-    payload = json.loads(render_json(result_with_expired()))
-    assert payload["version"] == 2
-    assert payload["expired_baseline"][0]["expires"] == "2026-02-01"
-    assert payload["cache_state"] == "off"
-
-
-def test_human_summary_mentions_changed_scoping():
-    result = result_with()
-    result.scoped_modules = 4
-    out = render_human(result)
-    assert "scoped to 4 changed/dependent modules" in out
-
-
 # -- SARIF -------------------------------------------------------------------
 
 SARIF_FINDINGS = [
-    Finding(rule="TEE010", severity=Severity.ERROR, path="repro/a.py",
-            line=7, col=4, key="hardcoded-shard:f:shards[0]",
-            message="shards[0] hardcodes a shard index",
-            fix_hint="route through shard_of"),
+    Finding(rule="TEE006", severity=Severity.ERROR, path="repro/a.py",
+            line=7, col=4, key="typestate:f:e.exit:MEASURED",
+            message="e.exit in f() while the enclave is MEASURED",
+            fix_hint="enter the enclave first"),
     Finding(rule="TEE002", severity=Severity.WARNING, path="repro/b.py",
             line=0, key="import:random", message="imports random"),
 ]
@@ -157,9 +122,9 @@ def test_sarif_shape_levels_and_fingerprints():
     # Rules array covers exactly the rules used, sorted, and every
     # result's ruleIndex points back into it.
     assert [r["id"] for r in run["tool"]["driver"]["rules"]] == \
-        ["TEE002", "TEE010"]
+        ["TEE002", "TEE006"]
     results = run["results"]
-    assert [r["ruleId"] for r in results] == ["TEE010", "TEE002"]
+    assert [r["ruleId"] for r in results] == ["TEE006", "TEE002"]
     for result in results:
         rules = run["tool"]["driver"]["rules"]
         assert rules[result["ruleIndex"]]["id"] == result["ruleId"]
@@ -167,7 +132,7 @@ def test_sarif_shape_levels_and_fingerprints():
     assert results[1]["level"] == "warning"
     # Fix hints ride in the message; fingerprints match the baseline's.
     assert results[0]["message"]["text"].endswith(
-        "— fix: route through shard_of")
+        "— fix: enter the enclave first")
     assert results[0]["partialFingerprints"]["teelintFingerprint/v1"] \
         == SARIF_FINDINGS[0].fingerprint
 
@@ -230,8 +195,8 @@ def test_sarif_excludes_baselined_and_suppressed():
     result.baselined = [SARIF_FINDINGS[1]]
     payload = json.loads(render_sarif(result))
     (run,) = payload["runs"]
-    assert [r["ruleId"] for r in run["results"]] == ["TEE010"]
-    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["TEE010"]
+    assert [r["ruleId"] for r in run["results"]] == ["TEE006"]
+    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["TEE006"]
 
 
 def test_sarif_rule_descriptions_come_from_the_catalogue():
@@ -240,4 +205,4 @@ def test_sarif_rule_descriptions_come_from_the_catalogue():
     (rule,) = payload["runs"][0]["tool"]["driver"]["rules"]
     from repro.analysis.rules import rule_catalogue
     assert rule["shortDescription"]["text"] == \
-        rule_catalogue()["TEE010"]
+        rule_catalogue()["TEE006"]

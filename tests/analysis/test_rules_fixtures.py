@@ -295,75 +295,6 @@ def test_tee008_real_model_charges_uniformly():
     assert result.findings == []
 
 
-# -- TEE009 transfer protocol typestate ---------------------------------------
-
-def test_tee009_bad_fires_on_every_protocol_break(lint_fixture):
-    result = lint_fixture("tee009_bad", "TEE009")
-    assert keys(result) == {
-        "mutation-before-auth:mutate_before_auth:release_all()",
-        "mutation-before-verify:mutate_before_auth:release_all()",
-        "mutation-before-auth:mutate_before_auth:claim_all()",
-        "mutation-before-verify:mutate_before_auth:claim_all()",
-        "abort-after-mutation:abort_midway",
-        "unpaired-seal:prepare_only",
-        "mutation-before-auth:prepare_only:release_all()",
-        "mutation-before-auth:prepare_only:claim_all()",
-        "unbound-manifest:wrong_magic",
-    }
-    assert all(f.severity is Severity.ERROR for f in result.findings)
-    abort = by_key(result)["abort-after-mutation:abort_midway"]
-    # The finding points at the late raise, not the function header.
-    assert "raises after fleet state" in abort.message
-
-
-def test_tee009_good_full_protocol_and_single_sided_are_silent(
-        lint_fixture):
-    # The complete prepare/commit dance is clean, and single-sided
-    # claim/release (creation, teardown) never enters scope.
-    result = lint_fixture("tee009_good", "TEE009")
-    assert result.findings == []
-
-
-def test_tee009_real_shardpool_transfer_is_clean():
-    # ShardPool.transfer_enclave is the protocol's reference
-    # implementation — the rule must agree with it.
-    from repro.analysis import run_lint
-    from .conftest import REPO_ROOT
-    result = run_lint([REPO_ROOT / "src" / "repro"], only=("TEE009",))
-    assert result.findings == []
-
-
-# -- TEE010 shard isolation ---------------------------------------------------
-
-def test_tee010_bad_fires_on_unrouted_fleet_access(lint_fixture):
-    result = lint_fixture("tee010_bad", "TEE010")
-    # Nothing from repro/ems/shardpool.py: the coordinator is exempt.
-    assert keys(result) == {
-        "cached-shard-ref:__init__:home",
-        "hardcoded-shard:peek_mailbox:shards[0]",
-        "sibling-component:peek_mailbox:mailbox",
-        "hardcoded-shard:drain_second:gates[1]",
-        "hardcoded-shard:last_shard_backlog:shards[-1]",
-        "sibling-component:last_shard_backlog:pages",
-    }
-    assert all(f.severity is Severity.ERROR for f in result.findings)
-    assert all(f.path == "repro/eval/driver.py" for f in result.findings)
-
-
-def test_tee010_good_routed_access_is_silent(lint_fixture):
-    # Routed subscripts, shard_of().mailbox, slices, iteration, and the
-    # constructor-argument primary designation are all sanctioned.
-    result = lint_fixture("tee010_good", "TEE010")
-    assert result.findings == []
-
-
-def test_tee010_real_emcall_and_serve_route_everything():
-    from repro.analysis import run_lint
-    from .conftest import REPO_ROOT
-    result = run_lint([REPO_ROOT / "src" / "repro"], only=("TEE010",))
-    assert result.findings == []
-
-
 # -- TEE012 fault coverage ----------------------------------------------------
 
 def test_tee012_bad_fires_on_unfired_and_untested_points(lint_fixture):

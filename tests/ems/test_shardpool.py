@@ -14,8 +14,14 @@ import pytest
 from repro.core.api import HyperTEE
 from repro.core.config import SystemConfig
 from repro.core.enclave import EnclaveConfig
-from repro.errors import EnclaveStateError, ShardError, TransferInterrupted
+from repro.errors import (
+    EnclaveStateError,
+    OwnershipError,
+    ShardError,
+    TransferInterrupted,
+)
 from repro.ems.ownership import Owner
+from repro.ems.shardpool import _MANIFEST_MAGIC
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.hw.routing import shard_for
 
@@ -31,6 +37,18 @@ def _launch(tee: HyperTEE, tag: str = "pool"):
 
 def _fleet_frame_usage(pool) -> int:
     return sum(shard.pool.used_count for shard in pool.shards)
+
+
+def _transfer_state(pool, enclave_id: int) -> tuple:
+    """Everything a committed transfer moves, for zero-mutation checks."""
+    owner = Owner.enclave(enclave_id)
+    return (
+        [shard.ownership.frames_owned_by(owner) for shard in pool.shards],
+        [enclave_id in shard.enclaves.enclaves for shard in pool.shards],
+        [shard.pool.used_count for shard in pool.shards],
+        pool.resolve(enclave_id),
+        pool.transfers_committed,
+    )
 
 
 def test_placement_lands_on_hash_home():
@@ -190,6 +208,51 @@ def test_interrupted_transfer_mutates_nothing_and_retries():
     dst = pool.shards[dst_index]
     assert set(dst.ownership.frames_owned_by(owner)) == frames_before
     assert pool.transfers_committed == 1
+
+
+@pytest.mark.parametrize("forge", [
+    lambda eid: _MANIFEST_MAGIC + (eid + 1).to_bytes(8, "little"),
+    lambda eid: b"HTEE-XFER0" + eid.to_bytes(8, "little"),
+], ids=["other-enclave-id", "wrong-magic"])
+def test_unbound_manifest_is_refused_with_zero_mutation(forge, monkeypatch):
+    """A validly sealed manifest that does not bind this enclave's
+    transfer (another enclave's ID, or not a transfer manifest at all)
+    never commits."""
+    tee = _fleet()
+    pool = tee.system.shard_pool
+    enclave = _launch(tee)
+    enclave_id = enclave.enclave_id
+    here = pool.resolve(enclave_id)
+    seal = pool.sealing.seal
+    head = len(_MANIFEST_MAGIC) + 8
+
+    def forged_seal(measurement, manifest):
+        return seal(measurement, forge(enclave_id) + manifest[head:])
+
+    monkeypatch.setattr(pool.sealing, "seal", forged_seal)
+    before = _transfer_state(pool, enclave_id)
+    with pytest.raises(ShardError, match="failed binding"):
+        pool.transfer_enclave(enclave_id, (here + 1) % pool.num_shards)
+    assert _transfer_state(pool, enclave_id) == before
+
+
+def test_destination_owning_a_frame_is_refused_with_zero_mutation():
+    """The destination proves every incoming frame unowned before the
+    source lets go of any."""
+    tee = _fleet()
+    pool = tee.system.shard_pool
+    enclave = _launch(tee)
+    enclave_id = enclave.enclave_id
+    here = pool.resolve(enclave_id)
+    there = (here + 1) % pool.num_shards
+    frame = pool.shards[here].ownership.frames_owned_by(
+        Owner.enclave(enclave_id))[0]
+    pool.shards[there].ownership.claim(frame, Owner.ems("squatter"))
+
+    before = _transfer_state(pool, enclave_id)
+    with pytest.raises(OwnershipError, match="already owned"):
+        pool.transfer_enclave(enclave_id, there)
+    assert _transfer_state(pool, enclave_id) == before
 
 
 def test_stale_route_is_rejected_not_served():

@@ -2,8 +2,8 @@
 
 Unit tests drive the manager hooks directly with fake tables; the
 integration tests run the sharded transfer scenario and assert the
-sealed prepare/commit protocol stays clean — the dynamic twin of
-teelint's TEE009/TEE010.
+sealed prepare/commit protocol stays clean. The transfer's refusals
+themselves are pinned by ``tests/ems/test_shardpool.py``.
 """
 
 from __future__ import annotations
