@@ -157,7 +157,11 @@ def run(args: argparse.Namespace) -> int:
                           render_sarif(result, base_path=base)))
 
     if args.write_baseline:
-        new_baseline = Baseline.from_findings(result.findings)
+        # Matched entries keep their reasons; only stale entries go.
+        kept = [entry for entry in baseline.entries
+                if entry not in result.stale_baseline]
+        new_baseline = Baseline(
+            kept + Baseline.from_findings(result.findings).entries)
         status = _write_artifact(baseline_path, new_baseline.render())
         if status:
             return status

@@ -213,15 +213,21 @@ class HyperTEESystem:
 
         Pull-based: the registry stores readers over the live dataclasses,
         so nothing is duplicated and ``stats_summary()`` becomes a
-        registry snapshot with the same schema as before.
+        registry snapshot with the same schema as before. The ``ems``,
+        ``mailbox`` and ``pool`` sources sum every shard's counters, so
+        one shard reads as the paper's single EMS.
         """
-        from repro.obs.metrics import stats_asdict
+        from repro.obs.metrics import stats_asdict, stats_sum
 
         reg = self.obs.metrics
-        reg.register_source("ems", lambda: stats_asdict(self.ems.stats))
-        reg.register_source("mailbox", lambda: stats_asdict(self.mailbox.stats))
+        shards = self.shard_pool.shards
+        reg.register_source(
+            "ems", lambda: stats_sum(shard.runtime.stats for shard in shards))
+        reg.register_source(
+            "mailbox", lambda: stats_sum(shard.mailbox.stats for shard in shards))
         reg.register_source("fabric", lambda: stats_asdict(self.ihub.stats))
-        reg.register_source("pool", lambda: stats_asdict(self.pool.stats))
+        reg.register_source(
+            "pool", lambda: stats_sum(shard.pool.stats for shard in shards))
         reg.register_source(
             "emcall",
             lambda: {"bitmap_flushes": self.emcall.bitmap_flush_count})

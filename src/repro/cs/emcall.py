@@ -249,14 +249,6 @@ class BatchInvokeResult:
         share, remainder = divmod(self.cs_cycles, n)
         return tuple(share + (1 if i < remainder else 0) for i in range(n))
 
-    def invoke_results(self) -> tuple[InvokeResult, ...]:
-        """Per-element :class:`InvokeResult` views with amortized cycles."""
-        return tuple(
-            InvokeResult(response=response, cs_cycles=cycles,
-                         attempts=self.attempts)
-            for response, cycles in zip(self.responses,
-                                        self.per_request_cycles()))
-
     def result(self, index: int, name: str, default: Any = None) -> Any:
         """Field from element ``index``'s response result dict."""
         return self.responses[index].result.get(name, default)

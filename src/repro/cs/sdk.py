@@ -36,31 +36,11 @@ class HostApp:
 
     def launch(self, code: bytes, config: EnclaveConfig) -> Enclave:
         """Launch the enclave and map the declared transfer buffer."""
-        return self._launch(code, config, batched=False)
-
-    def launch_batched(self, code: bytes, config: EnclaveConfig,
-                       batch_size: int = 8) -> Enclave:
-        """:meth:`launch` over the batched EMCall fast path.
-
-        Large images pay one EADD round trip per page under
-        :meth:`launch`; here the pages travel ``batch_size`` to a mailbox
-        envelope. The enclave and its measurement come out bit-identical
-        — only the communication cycles drop.
-        """
-        return self._launch(code, config, batched=True,
-                            batch_size=batch_size)
-
-    def _launch(self, code: bytes, config: EnclaveConfig, *,
-                batched: bool, batch_size: int = 8) -> Enclave:
         if config.host_shared_pages < 1:
             raise ConfigurationError(
                 "HostApp.launch needs host_shared_pages >= 1 in the "
                 "enclave configuration (the Fig. 2 config file)")
-        if batched:
-            self.enclave = self.tee.launch_enclave_batched(
-                code, config, batch_size=batch_size)
-        else:
-            self.enclave = self.tee.launch_enclave(code, config)
+        self.enclave = self.tee.launch_enclave(code, config)
         control = self.tee.system.enclaves.enclaves[self.enclave.enclave_id]
         for offset, frame in enumerate(control.host_shared_frames):
             self.process.table.map(HOSTAPP_BUFFER_VPN + offset, frame,

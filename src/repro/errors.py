@@ -80,10 +80,6 @@ class PrivilegeViolation(EMCallError):
     """A primitive was invoked from the wrong privilege level."""
 
 
-class ForgedRequestError(EMCallError):
-    """A request claimed an enclave identity it does not hold."""
-
-
 class MailboxError(EMCallError):
     """Malformed traffic on the mailbox (unknown request id, replay, ...)."""
 

@@ -17,14 +17,15 @@ the frames it re-uses: a frame's stream is kept from its second
 page-aligned whole-page access under the key, and later accesses inside
 the frame slice it. Re-programming or releasing the slot drops all three.
 
-MACs are computed over the *full stored line*, so the engine exposes
-``record_macs`` / ``verify_macs`` hooks that :class:`PhysicalMemory` calls
-with a raw reader after the store has landed. Each hook reads the
-line-aligned span of the access once and MACs it line by line. The span
-last recorded keeps its stored bytes and MACs, so a read-back takes an
-unchanged line's MAC from there. Both memos hold pure functions (a
-stream of key and address, a MAC of key and stored bytes), so every
-output is the one computed afresh; tampered bytes miss and are MACed.
+MACs cover the *full stored line*, so the engine exposes ``record_macs``
+/ ``verify_macs`` hooks that :class:`PhysicalMemory` calls with a raw
+reader after the store has landed. Each hook reads the line-aligned span
+of the access once. A write records the span's stored bytes and the
+slot's MAC key once, shared by the span's lines. A load whose line still
+holds its recorded bytes under that key passes on a byte compare, since
+both MACs would be one function of the same inputs; any other line
+compares the two MACs. Streams and MACs are pure functions, so every
+outcome is the one computed afresh.
 """
 
 from __future__ import annotations
@@ -57,11 +58,9 @@ class MemoryEncryptionEngine:
         self._mac_keys: dict[int, MacKey] = {}
         #: keyid -> frame -> its page keystream, or None once seen whole
         self._streams: dict[int, dict[int, bytes | None]] = {}
-        #: line physical address -> (keyid, mac over stored line content)
-        self._macs: dict[int, tuple[int, int]] = {}
-        #: (keyid, first line, stored bytes, line MACs) of the span
-        #: record_macs last recorded; None when none is kept
-        self._last_span: tuple[int, int, bytes, list[int]] | None = None
+        #: line physical address -> (keyid, MAC key, first line, stored
+        #: bytes) of the span that recorded it, one record per span
+        self._macs: dict[int, tuple[int, MacKey, int, bytes]] = {}
         #: Runtime sanitizer manager (None = off); see repro.sanitize.
         self.san = None
 
@@ -72,9 +71,10 @@ class MemoryEncryptionEngine:
 
         The slot keeps the key's cipher and its MAC pads, built once here
         for every line MAC under ``keyid``, and starts with no kept frame
-        stream; re-programming a KeyID replaces all three and forgets the
-        last recorded span. Only the EMS, through its iHub
-        configuration path, may program keys; any other master raises
+        stream; re-programming a KeyID replaces all three, so a line
+        recorded under the old pads no longer passes on a byte compare.
+        Only the EMS, through its iHub configuration path, may program
+        keys; any other master raises
         :class:`IsolationViolation` — "configured only by EMS via iHub"
         (paper Section IV-C).
         """
@@ -87,7 +87,6 @@ class MemoryEncryptionEngine:
         self._ciphers[keyid] = KeystreamCipher(key)
         self._mac_keys[keyid] = MacKey(key)
         self._streams[keyid] = {}
-        self._last_span = None
         if self.san is not None:
             self.san.on_key_programmed(keyid)
 
@@ -98,7 +97,6 @@ class MemoryEncryptionEngine:
         self._ciphers.pop(keyid, None)
         self._mac_keys.pop(keyid, None)
         self._streams.pop(keyid, None)
-        self._last_span = None
         if self.san is not None:
             self.san.on_key_released(keyid)
 
@@ -165,11 +163,11 @@ class MemoryEncryptionEngine:
 
     def record_macs(self, paddr: int, length: int, keyid: int,
                     read_raw: LineReader) -> None:
-        """Record MACs over every stored line a write touched.
+        """Record every stored line a write touched, computing no MAC.
 
-        Host-KeyID writes drop any stale enclave MAC on the line instead
-        (the line now holds host data). The span's stored bytes and MACs
-        are kept for :meth:`verify_macs`, replacing the previous span.
+        One record of the span's stored bytes and the slot's MAC key is
+        shared by each line of the span. Host-KeyID writes drop any stale
+        enclave record on the line instead (the line now holds host data).
         """
         if keyid == HOST_KEYID:
             for line in self._lines(paddr, length):
@@ -181,13 +179,9 @@ class MemoryEncryptionEngine:
         if mac_key is None:
             return
         start, size = self._span(paddr, length)
-        raw = read_raw(start, size)
-        macs = [truncated_mac(mac_key, raw[offset:offset + CACHE_LINE_SIZE],
-                              MAC_BITS)
-                for offset in range(0, size, CACHE_LINE_SIZE)]
-        for line, mac in zip(range(start, start + size, CACHE_LINE_SIZE), macs):
-            self._macs[line] = (keyid, mac)
-        self._last_span = (keyid, start, raw, macs)
+        record = (keyid, mac_key, start, read_raw(start, size))
+        for line in range(start, start + size, CACHE_LINE_SIZE):
+            self._macs[line] = record
 
     def verify_macs(self, paddr: int, length: int, keyid: int,
                     read_raw: LineReader) -> None:
@@ -195,27 +189,25 @@ class MemoryEncryptionEngine:
 
         Raises :class:`IntegrityViolation` on mismatch — the paper's
         response to physical tampering (Section IV-C). Lines never written
-        under this keyid (freshly zeroed pages) carry no MAC and pass. A
-        line whose stored bytes equal those of the span last recorded
-        under ``keyid`` takes its MAC from there.
+        under this keyid (freshly zeroed pages) carry no record and pass.
+        A line passes when its stored bytes equal its slice of the record
+        and the slot still holds the record's MAC key; otherwise the MAC
+        of that slice under the record's key must equal the MAC of the
+        stored bytes under the slot's key.
         """
         if keyid == HOST_KEYID or not self.integrity_enabled:
             return
         mac_key = self._mac_keys.get(keyid)
         if mac_key is None:
             return
-        last = self._last_span
-        if last is None or last[0] != keyid:
-            last = (keyid, 0, b"", [])
-        _, last_start, last_raw, last_macs = last
         start, size = self._span(paddr, length)
         raw = None
         for offset in range(0, size, CACHE_LINE_SIZE):
             line = start + offset
-            recorded = self._macs.get(line)
-            if recorded is None:
+            record = self._macs.get(line)
+            if record is None:
                 continue
-            rec_keyid, rec_mac = recorded
+            rec_keyid, rec_key, rec_start, rec_raw = record
             if rec_keyid != keyid:
                 # The line belongs to a different key domain: the access
                 # simply decrypts to garbage (MK-TME behaviour); the MAC
@@ -225,19 +217,18 @@ class MemoryEncryptionEngine:
             if raw is None:
                 raw = read_raw(start, size)
             content = raw[offset:offset + CACHE_LINE_SIZE]
-            at = line - last_start
-            if 0 <= at < len(last_raw) \
-                    and last_raw[at:at + CACHE_LINE_SIZE] == content:
-                mac = last_macs[at // CACHE_LINE_SIZE]
-            else:
-                mac = truncated_mac(mac_key, content, MAC_BITS)
-            if mac != rec_mac:
+            at = line - rec_start
+            recorded = rec_raw[at:at + CACHE_LINE_SIZE]
+            if rec_key is mac_key and recorded == content:
+                continue
+            if truncated_mac(rec_key, recorded, MAC_BITS) \
+                    != truncated_mac(mac_key, content, MAC_BITS):
                 raise IntegrityViolation(
                     f"MAC mismatch at line {line:#x} (keyid {keyid})"
                 )
 
     def drop_block_macs(self, paddr: int, length: int) -> None:
-        """Forget MACs over a range (page zeroed / reassigned by EMS)."""
+        """Forget line records over a range (page zeroed / reassigned by EMS)."""
         for line in self._lines(paddr, length):
             self._macs.pop(line, None)
 

@@ -120,10 +120,6 @@ class IOMMU:
                 f"for {device_id!r}")
         return (entry.frame << PAGE_SHIFT) | offset, entry.keyid
 
-    def mapped_iovns(self, device_id: str) -> list[int]:
-        """IOVA pages currently mapped for a device."""
-        return sorted(self._tables.get(device_id, {}))
-
 
 class IOMMUDevice:
     """A DMA master (e.g. a GPU) whose accesses go through the IOMMU."""

@@ -399,3 +399,21 @@ class MetricsRegistry:
 def stats_asdict(stats: Any) -> dict:
     """Snapshot one ``*Stats`` dataclass (the federation reader)."""
     return dataclasses.asdict(stats)
+
+
+def stats_sum(stats: Iterable[Any]) -> dict:
+    """Snapshot ``*Stats`` dataclasses of one type as their field-wise sum.
+
+    Counters add and lists add element-wise, so a single dataclass reads
+    exactly as :func:`stats_asdict` does (the per-shard federation).
+    """
+    total: dict = {}
+    for one in stats:
+        for name, value in stats_asdict(one).items():
+            if name not in total:
+                total[name] = value
+            elif isinstance(value, list):
+                total[name] = [a + b for a, b in zip(total[name], value)]
+            else:
+                total[name] += value
+    return total

@@ -38,11 +38,6 @@ def ems_instr_to_cs_cycles(instr: float, ems: CoreConfig) -> float:
     return (instr / ems.sustained_ipc) * _EMS_TO_CS
 
 
-def crypto_seconds_to_cs_cycles(seconds: float) -> float:
-    """Crypto wall time expressed in CS-core cycles."""
-    return seconds * CS_CORE_FREQ_HZ
-
-
 def host_malloc_cycles(pages: int) -> int:
     """The Fig. 8a baseline: host ``malloc`` of ``pages`` pages."""
     return HOST_MALLOC_BASE_CYCLES + pages * HOST_MALLOC_PER_PAGE_CYCLES

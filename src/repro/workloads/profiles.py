@@ -64,11 +64,3 @@ class WorkloadProfile:
     @property
     def dram_accesses(self) -> float:
         return self.memory_accesses * self.l1_miss_rate * self.l2_miss_rate
-
-    def host_seconds(self, freq_hz: float = 2.5e9) -> float:
-        """Host-Native wall time at the CS clock."""
-        from repro.workloads.costs import host_malloc_cycles
-
-        total = self.compute_cycles + self.alloc_calls * host_malloc_cycles(
-            self.alloc_pages)
-        return total / freq_hz

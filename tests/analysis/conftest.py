@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import run_lint
+from repro.analysis.baseline import BASELINE_FILENAME, Baseline
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -16,6 +17,18 @@ collect_ignore = ["fixtures"]
 
 #: Repository root (tests/analysis/ -> tests/ -> repo).
 REPO_ROOT = Path(__file__).parents[2]
+SRC = REPO_ROOT / "src" / "repro"
+BASELINE_PATH = REPO_ROOT / BASELINE_FILENAME
+
+
+@pytest.fixture(scope="session")
+def src_lint():
+    """The full catalogue over ``src/repro`` with the checked-in baseline.
+
+    Linting the real tree is the slowest step of this suite, so one run
+    per session serves the self-check and the real-model rule tests.
+    """
+    return run_lint([SRC], baseline=Baseline.load(BASELINE_PATH))
 
 
 @pytest.fixture

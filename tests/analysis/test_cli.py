@@ -193,6 +193,31 @@ def test_write_baseline_then_rerun_is_clean(tmp_path, capsys):
     assert "baselined" in out
 
 
+def test_write_baseline_again_keeps_the_matched_entries_reasons(tmp_path,
+                                                                capsys):
+    """Matched entries keep their reasons, stale ones go, live ones join."""
+    baseline = tmp_path / "teelint.baseline.json"
+    args = ["lint", BAD, "--baseline", str(baseline), "--write-baseline"]
+    assert main(args) == 0
+    entries = json.loads(baseline.read_text())["findings"]
+    assert len(entries) > 1
+    for number, entry in enumerate(entries):
+        entry["reason"] = f"documented exception number {number}"
+    unlisted = entries.pop()  # its finding is live on the next run
+    stale = dict(entries[0], fingerprint="0" * 16, key="no-such-finding")
+    baseline.write_text(json.dumps({"findings": entries + [stale]}))
+
+    assert main(args) == 0
+    rewritten = json.loads(baseline.read_text())["findings"]
+    placeholder = dict(unlisted, reason="baselined pre-existing finding")
+    by_fingerprint = {entry["fingerprint"]: entry
+                      for entry in entries + [placeholder]}
+    assert {entry["fingerprint"]: entry for entry in rewritten} \
+        == by_fingerprint
+    assert f"wrote {len(by_fingerprint)} baseline entries" \
+        in capsys.readouterr().out
+
+
 def test_json_out_composes_with_write_baseline(tmp_path, capsys):
     baseline = tmp_path / "b.json"
     artifact = tmp_path / "out.json"

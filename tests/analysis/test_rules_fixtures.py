@@ -20,6 +20,11 @@ def by_key(result):
     return {f.key: f for f in result.findings}
 
 
+def live_or_baselined(result, rule):
+    """One rule's findings in a full-catalogue run, baselined ones too."""
+    return [f for f in result.findings + result.baselined if f.rule == rule]
+
+
 # -- TEE001 boundary ---------------------------------------------------------
 
 def test_tee001_bad_fires_direct_and_transitive(lint_fixture):
@@ -286,13 +291,10 @@ def test_tee008_good_equal_sanitized_and_public_branches(lint_fixture):
     assert result.findings == []
 
 
-def test_tee008_real_model_charges_uniformly():
+def test_tee008_real_model_charges_uniformly(src_lint):
     # The real model's cycle accounting never branches on key material:
     # the defense the paper claims is the one the code implements.
-    from repro.analysis import run_lint
-    from .conftest import REPO_ROOT
-    result = run_lint([REPO_ROOT / "src" / "repro"], only=("TEE008",))
-    assert result.findings == []
+    assert live_or_baselined(src_lint, "TEE008") == []
 
 
 # -- TEE012 fault coverage ----------------------------------------------------
@@ -329,10 +331,7 @@ def test_tee012_missing_corpus_is_a_warning(tmp_path):
     assert finding.severity is Severity.WARNING
 
 
-def test_tee012_real_catalogue_is_fully_covered():
+def test_tee012_real_catalogue_is_fully_covered(src_lint):
     # Every shipped FAULT_POINTS entry is consulted somewhere in src
     # and named by at least one chaos test.
-    from repro.analysis import run_lint
-    from .conftest import REPO_ROOT
-    result = run_lint([REPO_ROOT / "src" / "repro"], only=("TEE012",))
-    assert result.findings == []
+    assert live_or_baselined(src_lint, "TEE012") == []

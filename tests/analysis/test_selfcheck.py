@@ -8,38 +8,27 @@ baseline entries, and every baseline entry carrying a real reason.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis import run_lint
-from repro.analysis.baseline import BASELINE_FILENAME, Baseline
+from repro.analysis.baseline import Baseline
 from repro.analysis.rules import rule_catalogue
 
-from .conftest import REPO_ROOT
-
-SRC = REPO_ROOT / "src" / "repro"
-BASELINE_PATH = REPO_ROOT / BASELINE_FILENAME
+from .conftest import BASELINE_PATH
 
 
-@pytest.fixture(scope="module")
-def self_result():
-    return run_lint([SRC], baseline=Baseline.load(BASELINE_PATH))
-
-
-def test_src_repro_is_clean(self_result):
+def test_src_repro_is_clean(src_lint):
     formatted = "\n".join(
-        f"{f.location()} {f.rule} {f.message}" for f in self_result.findings)
-    assert self_result.findings == [], \
+        f"{f.location()} {f.rule} {f.message}" for f in src_lint.findings)
+    assert src_lint.findings == [], \
         f"unbaselined teelint findings in src/repro:\n{formatted}"
-    assert self_result.ok
+    assert src_lint.ok
 
 
-def test_the_tree_is_actually_scanned(self_result):
+def test_the_tree_is_actually_scanned(src_lint):
     # Guard against a path typo silently scanning nothing.
-    assert self_result.modules_scanned > 80
+    assert src_lint.modules_scanned > 80
 
 
-def test_baseline_has_no_stale_entries(self_result):
-    assert self_result.stale_baseline == []
+def test_baseline_has_no_stale_entries(src_lint):
+    assert src_lint.stale_baseline == []
 
 
 def test_every_baseline_entry_is_documented():
@@ -52,10 +41,10 @@ def test_every_baseline_entry_is_documented():
             f"baseline entry {entry.key} still has the placeholder reason"
 
 
-def test_known_exceptions_are_baselined_not_fixed(self_result):
+def test_known_exceptions_are_baselined_not_fixed(src_lint):
     # The one documented exception stays visible as a baselined
     # finding; if it disappears the stale check above will also fire.
-    keys = {f.key for f in self_result.baselined}
+    keys = {f.key for f in src_lint.baselined}
     assert keys == {"import:random"}
 
 

@@ -9,6 +9,8 @@ every illegal transfer is refused with zero mutation.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.api import HyperTEE
@@ -293,3 +295,27 @@ def test_shard_stats_summary_schema():
     assert row["enclaves"] == 1
     assert row["served"] > 0
     assert row["pool_used"] + row["pool_free"] == row["pool_capacity"]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_federated_counters_sum_every_shard(shards):
+    """``ems``, ``mailbox`` and ``pool`` read the fleet, not shard 0."""
+    tee = _fleet(shards=shards)
+    for i in range(6):
+        _launch(tee, tag=f"federated{i}")
+    fleet = tee.system.shard_pool.shards
+    summary = tee.system.stats_summary()
+    for source, stats_of in (("ems", lambda shard: shard.runtime.stats),
+                             ("mailbox", lambda shard: shard.mailbox.stats),
+                             ("pool", lambda shard: shard.pool.stats)):
+        rows = [dataclasses.asdict(stats_of(shard)) for shard in fleet]
+        expected = {
+            name: ([sum(column) for column in zip(*(row[name] for row in rows))]
+                   if isinstance(value, list)
+                   else sum(row[name] for row in rows))
+            for name, value in rows[0].items()}
+        assert summary[source] == expected, source
+    assert summary["ems"]["served"] == tee.system.ems_requests_served() == 18
+    assert summary["mailbox"]["requests_sent"] == 18
+    # Four shards spread the launches, so shard 0 alone reads less.
+    assert (fleet[0].runtime.stats.served < 18) == (shards > 1)

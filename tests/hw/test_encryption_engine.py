@@ -10,6 +10,7 @@ import pytest
 import repro.hw.encryption_engine as engine_module
 from repro.common.constants import MAC_BITS, PAGE_SIZE
 from repro.crypto.cipher import KeystreamCipher
+from repro.crypto.hashes import truncated_mac
 from repro.errors import IntegrityViolation, IsolationViolation, KeySlotExhausted
 from repro.hw.encryption_engine import MemoryEncryptionEngine
 from repro.hw.memory import PhysicalMemory
@@ -54,7 +55,10 @@ def test_reprogramming_same_keyid_is_not_a_new_slot():
     raw = mem.read_raw(0x2000, 64)
     full = hmac.new(key_b, raw, hashlib.sha3_256).digest()
     mac_b = int.from_bytes(full[:8], "little") & ((1 << MAC_BITS) - 1)
-    assert engine._macs[0x2000] == (1, mac_b)
+    keyid, mac_key, start, stored = engine._macs[0x2000]
+    at = 0x2000 - start
+    assert keyid == 1
+    assert truncated_mac(mac_key, stored[at:at + 64], MAC_BITS) == mac_b
     assert mem.read(0x2000, 64, keyid=1) == b"B" * 64
     mem.write_raw(0x2000, bytes([raw[0] ^ 1]) + raw[1:])
     with pytest.raises(IntegrityViolation):
@@ -114,6 +118,18 @@ def test_zero_frame_drops_macs(memory: PhysicalMemory):
     memory.read(4 * PAGE_SIZE, 64, keyid=6)
 
 
+def test_a_recorded_span_is_one_record_shared_by_its_lines(
+        memory: PhysicalMemory):
+    """A write records its span's stored bytes once, not once per line."""
+    engine = memory.encryption_engine
+    engine.program_key(5, b"k" * 32, from_ems=True)
+    memory.write(0x3000 + 10, b"s" * 200, keyid=5)  # lines 0x3000..0x30c0
+    records = [engine._macs[line] for line in range(0x3000, 0x3100, 64)]
+    assert all(record is records[0] for record in records)
+    keyid, _, start, stored = records[0]
+    assert (keyid, start, stored) == (5, 0x3000, memory.read_raw(0x3000, 256))
+
+
 def test_unprogrammed_keyid_decrypts_to_garbage(memory: PhysicalMemory):
     memory.write(0x6000, b"plaintext-bytes!", keyid=0)
     out = memory.read(0x6000, 16, keyid=777)  # never programmed
@@ -158,7 +174,12 @@ def test_new_key_does_not_reuse_the_old_keys_line_macs(how):
 
 
 def test_page_stream_is_kept_from_the_second_whole_page_access(monkeypatch):
-    """Count the keystream windows and line MACs the engine computes."""
+    """Count the keystream windows and line MACs the engine computes.
+
+    A clean write and read-back compute no MAC: the load's stored bytes
+    equal the record's. A tampered line computes the recorded MAC and
+    the MAC of the current bytes.
+    """
     computed = {"stream": 0, "encrypt": 0, "mac": 0}
 
     def counting(name, original):
@@ -183,21 +204,20 @@ def test_page_stream_is_kept_from_the_second_whole_page_access(monkeypatch):
                 if stream is not None}
 
     mem.write(frame, b"x" * PAGE_SIZE, keyid=1)      # first: computed, not kept
-    assert (computed, kept()) == ({"stream": 1, "encrypt": 0, "mac": 64}, set())
+    assert (computed, kept()) == ({"stream": 1, "encrypt": 0, "mac": 0}, set())
     assert mem.read(frame, PAGE_SIZE, keyid=1) == b"x" * PAGE_SIZE  # second
-    assert (computed, kept()) == ({"stream": 2, "encrypt": 0, "mac": 64}, {5})
+    assert (computed, kept()) == ({"stream": 2, "encrypt": 0, "mac": 0}, {5})
     mem.write(frame, b"y" * PAGE_SIZE, keyid=1)      # third: sliced
     assert mem.read(frame + 128, 64, keyid=1) == b"y" * 64
-    assert computed == {"stream": 2, "encrypt": 0, "mac": 128}
+    assert computed == {"stream": 2, "encrypt": 0, "mac": 0}
 
-    # A line whose stored bytes changed since the span was recorded is
-    # MACed again, and rejected.
+    # A line whose stored bytes changed since the span was recorded
+    # computes both MACs, and is rejected.
     raw = mem.read_raw(frame + 128, 64)
     mem.write_raw(frame + 128, bytes([raw[0] ^ 1]) + raw[1:])
     with pytest.raises(IntegrityViolation):
         mem.read(frame + 128, 64, keyid=1)
-    assert computed["mac"] == 129
+    assert computed["mac"] == 2
 
     engine.release_key(1, from_ems=True)
     assert 1 not in engine._streams
-    assert engine._last_span is None
