@@ -98,7 +98,8 @@ class HyperTEEAdapter(TEEInterface):
         dependable the harness would start leaking.
         """
         system = self.tee.system
-        control = system.enclaves.enclaves[victim.enclave.enclave_id]
+        enclave_id = victim.enclave.enclave_id
+        control = system.enclaves_of(enclave_id).enclaves[enclave_id]
         table_frames = control.page_table.table_frames()
         # Raw scavenging: read the leaf frame bytes without the key.
         sample = system.memory.read_raw(table_frames[-1] << PAGE_SHIFT, 64)

@@ -141,11 +141,8 @@ class HyperTEESystem:
         self.cvm = CVMManager(self.enclaves, self.keys, self.attestation,
                               self.memory, self.crypto, self.rng)
 
-        def enclaves_of(enclave_id: int) -> EnclaveManager:
-            return self.shard_pool.shard_of(enclave_id).enclaves
-
-        self.cfi = CFIMonitor(enclaves_of)
-        self.interrupt_monitor = InterruptAnomalyDetector(enclaves_of)
+        self.cfi = CFIMonitor(self.enclaves_of)
+        self.interrupt_monitor = InterruptAnomalyDetector(self.enclaves_of)
 
         # -- EMCall: one gate per shard, on that shard's mailbox ----------------
         gates = tuple(EMCall(shard.mailbox, self.rng, self.cores)
@@ -345,6 +342,14 @@ class HyperTEESystem:
     def ems_runtimes(self) -> list[EMSRuntime]:
         """Every EMS runtime on the platform (one per shard)."""
         return [shard.runtime for shard in self.shard_pool.shards]
+
+    def enclaves_of(self, enclave_id: int) -> EnclaveManager:
+        """The enclave manager of the EMS shard that holds ``enclave_id``.
+
+        ``self.enclaves`` is shard 0's; an enclave on another shard has
+        its control block only there.
+        """
+        return self.shard_pool.shard_of(enclave_id).enclaves
 
     def ems_requests_served(self) -> int:
         """Fleet-wide served-request count (shard-aware ``stats.served``)."""

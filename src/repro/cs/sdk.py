@@ -41,7 +41,8 @@ class HostApp:
                 "HostApp.launch needs host_shared_pages >= 1 in the "
                 "enclave configuration (the Fig. 2 config file)")
         self.enclave = self.tee.launch_enclave(code, config)
-        control = self.tee.system.enclaves.enclaves[self.enclave.enclave_id]
+        enclave_id = self.enclave.enclave_id
+        control = self.tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
         for offset, frame in enumerate(control.host_shared_frames):
             self.process.table.map(HOSTAPP_BUFFER_VPN + offset, frame,
                                    Permission.RW)

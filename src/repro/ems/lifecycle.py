@@ -103,7 +103,10 @@ class EnclaveManager:
 
         Raw-zeroed DRAM decrypts to keystream noise under an enclave key;
         a freshly mapped page must read as zeros to its new owner, so the
-        EMS writes zeros through the encryption engine.
+        EMS writes zeros through the encryption engine. Memory computes
+        each line's ciphertext on its first access (see
+        :mod:`repro.hw.memory`); the page reads as zeros to its owner
+        either way.
         """
         from repro.common.constants import PAGE_SIZE as _PS
 

@@ -16,6 +16,9 @@ A KeyID slot holds its key's cipher, its MAC pads and the keystreams of
 the frames it re-uses: a frame's stream is kept from its second
 page-aligned whole-page access under the key, and later accesses inside
 the frame slice it. Re-programming or releasing the slot drops all three.
+A page of zeros that memory stores lazily holds on to the slot's cipher
+and MAC key instead (``defer_zero_page``), and ``zero_lines`` computes
+and records its lines under them when they are first touched.
 
 MACs cover the *full stored line*, so the engine exposes ``record_macs``
 / ``verify_macs`` hooks that :class:`PhysicalMemory` calls with a raw
@@ -231,6 +234,38 @@ class MemoryEncryptionEngine:
         """Forget line records over a range (page zeroed / reassigned by EMS)."""
         for line in self._lines(paddr, length):
             self._macs.pop(line, None)
+
+    # -- lazy zero pages (see repro.hw.memory) ----------------------------------
+
+    def defer_zero_page(self, paddr: int, keyid: int) -> tuple[int, KeystreamCipher, MacKey]:
+        """Capture programmed ``keyid``'s slot for a page of zeros at ``paddr``.
+
+        Memory stores nothing for the page and later asks
+        :meth:`zero_lines` for its lines under the returned ``(keyid,
+        cipher, MacKey)``, so re-keying or releasing the slot in between
+        changes nothing. The page marks the frame as seen under the key,
+        as a first whole-page access does (see :meth:`_xor_stream`); a
+        frame already seen keeps no stream until its next whole-page
+        access.
+        """
+        self._streams[keyid].setdefault(paddr >> PAGE_SHIFT, None)
+        return keyid, self._ciphers[keyid], self._mac_keys[keyid]
+
+    def zero_lines(self, slot: tuple[int, KeystreamCipher, MacKey],
+                   paddr: int, size: int) -> bytes:
+        """Stored bytes of whole lines of a deferred page of zeros.
+
+        The ciphertext of zeros is the captured cipher's keystream. The
+        lines are recorded under the captured MAC key, as
+        :meth:`record_macs` would have recorded the whole-page write.
+        """
+        keyid, cipher, mac_key = slot
+        stored = cipher.keystream(paddr, size)
+        if self.integrity_enabled:
+            record = (keyid, mac_key, paddr, stored)
+            for line in range(paddr, paddr + size, CACHE_LINE_SIZE):
+                self._macs[line] = record
+        return stored
 
     # -- helpers ---------------------------------------------------------------
 

@@ -130,6 +130,9 @@ class PageTable:
         A raw zeroed frame would decrypt to keystream garbage under an
         enclave KeyID; table frames must hold zeros as seen by the
         walker, so they are initialized through the encryption engine.
+        Under an enclave KeyID memory computes only the lines PTE
+        accesses touch (see :mod:`repro.hw.memory`); the walker reads
+        zeros either way.
         """
         self.memory.write(frame << PAGE_SHIFT, bytes(PAGE_SIZE),
                           self.table_keyid)

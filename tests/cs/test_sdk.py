@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.api import HyperTEE
+from repro.core.config import SystemConfig
 from repro.core.enclave import EnclaveConfig
 from repro.cs.sdk import HostApp
 from repro.errors import ConfigurationError
@@ -50,6 +51,26 @@ def test_buffer_is_plaintext_shared(app: HostApp):
     frame = control.host_shared_frames[0]
     raw = app.tee.system.memory.read_raw(frame * 4096, 15)
     assert raw == b"visible to both"
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_hostapps_round_trip_their_buffers_on_every_shard(shards: int):
+    """Each HostApp finds its enclave's buffer on the shard that holds it."""
+    tee = HyperTEE(SystemConfig(ems_shards=shards))
+    apps = [HostApp(tee, f"hostapp{index}") for index in range(4)]
+    for index, app in enumerate(apps):
+        app.launch(b"enclave code %d" % index,
+                   EnclaveConfig(name=f"svc{index}", host_shared_pages=1))
+    homes = {tee.system.shard_pool.resolve(app.enclave.enclave_id)
+             for app in apps}
+    assert (homes == {0}) == (shards == 1)
+    for index, app in enumerate(apps):
+        payload = b"payload for enclave %d" % index
+        vaddr = app.send(payload)
+        with app.enclave.running():
+            assert app.enclave.read(vaddr, len(payload)) == payload
+            app.enclave.write(HostApp.enclave_buffer_vaddr(100), payload[::-1])
+        assert app.receive(len(payload), offset=100) == payload[::-1]
 
 
 def test_buffer_bounds(app: HostApp):

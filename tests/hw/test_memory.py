@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.constants import PAGE_SIZE
+from repro.core.config import SystemConfig
+from repro.core.system import HyperTEESystem
 from repro.errors import PhysicalAddressError
 from repro.hw.memory import PhysicalMemory
 
@@ -63,6 +68,41 @@ def test_zero_frame(memory: PhysicalMemory):
     memory.write_raw(2 * PAGE_SIZE, b"\xff" * PAGE_SIZE)
     memory.zero_frame(2)
     assert memory.read_raw(2 * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+
+
+def test_storage_is_kept_only_for_computed_lines(memory: PhysicalMemory):
+    """Untouched and scrubbed frames keep no storage; a page of zeros under
+    an enclave key computes only the lines an access touches."""
+    memory.encryption_engine.program_key(5, b"s" * 32, from_ems=True)
+    assert memory.read_raw(0, 3 * PAGE_SIZE) == bytes(3 * PAGE_SIZE)
+    assert not memory._frames
+    memory.write_frame(1, bytes(PAGE_SIZE), keyid=5)
+    assert not memory._frames and 1 in memory._lazy
+    assert memory.read(PAGE_SIZE + 72, 8, keyid=5) == bytes(8)
+    assert memory._lazy[1][1] == 0b10  # the second line only
+    assert memory.read_frame(1, keyid=5) == bytes(PAGE_SIZE)
+    assert 1 in memory._frames and not memory._lazy
+    memory.zero_frame(1)
+    assert not memory._frames
+
+
+def test_digesting_a_fresh_platform_allocates_no_frames():
+    memory = HyperTEESystem(SystemConfig()).memory
+    tracemalloc.start()
+    try:
+        digest = hashlib.sha256()
+        step = 1 << 20
+        for base in range(0, memory.size_bytes, step):
+            digest.update(memory.read_raw(base, min(step, memory.size_bytes - base)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024
+
+
+def test_zero_frame_out_of_range_faults(memory: PhysicalMemory):
+    with pytest.raises(PhysicalAddressError):
+        memory.zero_frame(memory.num_frames)
 
 
 def test_write_frame_requires_full_page(memory: PhysicalMemory):
