@@ -31,8 +31,7 @@ PLAN_MODULE = "repro.faults.plan"
 CONSULT_METHODS = frozenset({"fires", "magnitude", "fires_each"})
 
 #: Registry methods whose first argument declares a metric family.
-DECLARE_METHODS = frozenset(
-    {"counter", "gauge", "histogram", "quantile_histogram"})
+DECLARE_METHODS = frozenset({"counter", "gauge", "histogram"})
 
 
 def _first_str_arg(node: ast.Call) -> tuple[str, ast.AST] | None:

@@ -185,6 +185,7 @@ class HyperTEESystem:
         pool = EnclaveMemoryPool(
             self.os, self.memory, self.rng, bitmap=self.bitmap,
             initial_pages=cfg.pool_initial_pages)
+        pool.shard = index
         ownership = PageOwnershipTable()
         enclaves = EnclaveManager(
             self.memory, pool, ownership, self.bitmap,
@@ -272,14 +273,16 @@ class HyperTEESystem:
                 setattr(component, hook, value)
 
     def enable_observability(self) -> "HyperTEESystem":
-        """Attach the probe points and turn on tracing.
+        """Attach the probe points; span trees stay off.
 
-        Off by default so the probes cost nothing; when on, they stay
+        Metrics, the SLO digests, attribution and the flight recorder go
+        live; spans are recorded only while ``obs.tracer.enabled`` is
+        set. Off by default so the probes cost nothing; when on, they stay
         out-of-band — no modelled cycle count or attacker-visible state
         changes (regression-tested by tests/obs/test_noninterference.py).
         Returns self for chaining.
         """
-        self.obs.enable()
+        self.obs.enabled = True
         self._attach("obs", self.obs)
         return self
 

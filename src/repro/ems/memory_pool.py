@@ -57,6 +57,9 @@ class EnclaveMemoryPool:
         self.stats = PoolStats()
         #: Out-of-band observability hook (attached by the system).
         self.obs = None
+        #: Index of the EMS shard that owns this pool (set where the
+        #: system builds the shard); labels the occupancy gauges.
+        self.shard = 0
         #: Runtime sanitizer manager (None = off); see repro.sanitize.
         self.san = None
         #: Frames whose bitmap bit changed since the last drain; the EMS
@@ -86,7 +89,8 @@ class EnclaveMemoryPool:
         self.stats.refills += 1
         self.stats.frames_requested_from_os += pages
         if self.obs is not None:
-            self.obs.record_pool_refill(pages, len(self._free), self._used)
+            self.obs.record_pool_refill(self.shard, pages, len(self._free),
+                                        self._used)
 
     def drain_flush_list(self) -> list[int]:
         """Frames needing a TLB shootdown since the last drain."""
@@ -136,8 +140,8 @@ class EnclaveMemoryPool:
         self._used += pages
         self.stats.takes += pages
         if self.obs is not None:
-            self.obs.record_pool_take(pages, len(self._free), self._used,
-                                      owner=owner)
+            self.obs.record_pool_take(self.shard, pages, len(self._free),
+                                      self._used, owner=owner)
         if self.san is not None:
             self.san.on_pool_take(self._memory, taken, owner)
         return taken
@@ -160,8 +164,9 @@ class EnclaveMemoryPool:
                 self._used += pages
                 self.stats.takes += pages
                 if self.obs is not None:
-                    self.obs.record_pool_take(pages, len(self._free),
-                                              self._used, owner=owner)
+                    self.obs.record_pool_take(self.shard, pages,
+                                              len(self._free), self._used,
+                                              owner=owner)
                 if self.san is not None:
                     self.san.on_pool_take(self._memory, run, owner)
                 return run
@@ -187,8 +192,9 @@ class EnclaveMemoryPool:
         self._used -= len(frames)
         self.stats.returns += len(frames)
         if self.obs is not None:
-            self.obs.record_pool_return(len(frames), len(self._free),
-                                        self._used, owner=owner)
+            self.obs.record_pool_return(self.shard, len(frames),
+                                        len(self._free), self._used,
+                                        owner=owner)
         if self.san is not None:
             # Scanned *after* the zeroing loop: a surviving secret means
             # the scrub is broken (TEE004's freed-frame channel).

@@ -38,7 +38,7 @@ from repro.eval.report import render_table
 
 
 def run_instrumented_scenario(seed: int = 0x1EE7):
-    """One quickstart-style run on an observability-enabled platform.
+    """One quickstart-style run on an observability-enabled, traced platform.
 
     Returns the :class:`~repro.core.api.HyperTEE` facade; its system's
     ``obs`` member holds the populated registry and tracer.
@@ -50,6 +50,7 @@ def run_instrumented_scenario(seed: int = 0x1EE7):
 
     tee = HyperTEE(SystemConfig(seed=seed))
     tee.system.enable_observability()
+    tee.system.obs.tracer.enabled = True
 
     enclave = tee.launch_enclave(b"obs scenario enclave code " * 32,
                                  EnclaveConfig(name="obs-scenario",
@@ -93,7 +94,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
              f"{r['p90']:.0f}", f"{r['p99']:.0f}", f"{r['mean']:.0f}"]
             for r in obs.primitive_latency_table()]
     print(render_table(
-        "Primitive latency (CS cycles; log-bucketed estimates)",
+        "Primitive latency (CS cycles; exact up to 512 samples)",
         ["primitive", "count", "p50", "p90", "p99", "mean"], rows))
     print()
     print(render_table(

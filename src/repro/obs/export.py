@@ -14,11 +14,10 @@ Two formats:
   ``*Stats`` snapshot — the machine-readable twin of
   ``HyperTEESystem.stats_summary()``.
 
-Both histogram kinds share the ``_bucket`` exposition: the base-2
-:class:`~repro.obs.metrics.Histogram` and the SLO engine's
-:class:`~repro.obs.metrics.QuantileHistogram` (exposed with Prometheus
-TYPE ``histogram`` — the exact-mode refinement is a query-side detail
-scrapers do not see).
+Every :class:`~repro.obs.metrics.Histogram` exposes the same
+``_bucket`` series whether or not it still holds exact samples (the SLO
+digests' exact mode is a query-side detail scrapers do not see); its
+JSON twin carries ``exact`` and the p50/p95/p99/p999 quantiles.
 """
 
 from __future__ import annotations
@@ -26,17 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    QuantileHistogram,
-)
-
-#: Registry kind -> Prometheus TYPE keyword (everything else passes
-#: through unchanged).
-_PROM_TYPE = {"quantile_histogram": "histogram"}
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 def _escape_label_value(value: str) -> str:
@@ -73,13 +62,12 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     lines: list[str] = []
     for family in registry.families():
         lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-        lines.append(f"# TYPE {family.name} "
-                     f"{_PROM_TYPE.get(family.kind, family.kind)}")
+        lines.append(f"# TYPE {family.name} {family.kind}")
         for labels, child in family.samples():
             if isinstance(child, (Counter, Gauge)):
                 lines.append(f"{family.name}{_label_str(labels)} "
                              f"{_fmt_value(child.value)}")
-            elif isinstance(child, (Histogram, QuantileHistogram)):
+            elif isinstance(child, Histogram):
                 cumulative = 0
                 for upper, count in child.buckets():
                     cumulative += count
@@ -100,7 +88,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 def _instrument_json(child: Any) -> Any:
     if isinstance(child, (Counter, Gauge)):
         return child.value
-    if isinstance(child, QuantileHistogram):
+    if isinstance(child, Histogram):
         if not child.count:
             return {"count": 0}
         doc = {
@@ -114,20 +102,6 @@ def _instrument_json(child: Any) -> Any:
         }
         doc.update(child.quantiles())
         return doc
-    if isinstance(child, Histogram):
-        if not child.count:
-            return {"count": 0}
-        return {
-            "count": child.count,
-            "sum": child.sum,
-            "min": child.min,
-            "max": child.max,
-            "mean": child.mean,
-            "p50": child.percentile(0.50),
-            "p90": child.percentile(0.90),
-            "p99": child.percentile(0.99),
-            "buckets": child.buckets(),
-        }
     raise TypeError(f"unknown instrument {type(child).__name__}")
 
 

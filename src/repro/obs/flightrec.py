@@ -10,7 +10,7 @@ a chaos invariant violation, or an explicit
 "black box" of them.
 
 Event kinds recorded by the probe facade (:mod:`repro.obs.probes`):
-span edges (``invocation``/``batch``), fault-point fires (``fault``),
+completed roots (``invocation``/``batch``), fault-point fires (``fault``),
 retry/timeout/degraded transitions, and mailbox rejects including
 queue-full backpressure (``reject``).
 
@@ -20,7 +20,7 @@ the directory as a workflow artifact on failure); the latest dump is
 always kept on :attr:`FlightRecorder.last_dump` regardless.
 
 Determinism contract: no wall clock, no ambient entropy (TEE002) — the
-event clock is the tracer's cycle cursor and the sequence counter, and
+event clock is the facade's cycle clock and the sequence counter, and
 trip filenames derive from the trip counter, so two identically-seeded
 runs produce bit-identical dumps.
 """

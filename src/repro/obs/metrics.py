@@ -5,9 +5,11 @@ Two sourcing modes coexist:
 
 * **Instrument families** — :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` children created through the registry and updated by
-  the probe points (:mod:`repro.obs.probes`). Histograms are log-bucketed
-  so p50/p90/p99 queries over cycle latencies stay O(#buckets) with
-  bounded error, exactly what the Table IV / Fig. 6 style questions need.
+  the probe points (:mod:`repro.obs.probes`). One histogram class
+  serves every distribution: log buckets keep percentile queries over
+  cycle latencies O(#buckets) with bounded error, and an optional
+  ``exact_limit`` keeps small series as exact order statistics (the SLO
+  digests).
 * **Federated sources** — callbacks over the existing per-subsystem
   ``*Stats`` dataclasses (``MailboxStats``, ``RuntimeStats``, ...). The
   registry does not duplicate those counters; it *reads* them at snapshot
@@ -79,101 +81,20 @@ class Histogram:
     lands in one of ~64 buckets and any percentile is answered with at
     most a factor-of-2 relative error — plenty for "where did the cycles
     go" questions, at O(1) memory per instrument.
-    """
 
-    __slots__ = ("base", "_log_base", "_buckets", "count", "sum",
-                 "min", "max")
-
-    def __init__(self, base: float = 2.0) -> None:
-        if base <= 1.0:
-            raise MetricError("histogram base must exceed 1")
-        self.base = base
-        self._log_base = math.log(base)
-        self._buckets: dict[int, int] = {}
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def _bucket_index(self, value: float) -> int:
-        if value <= 1.0:
-            return 0
-        return int(math.ceil(math.log(value) / self._log_base - 1e-12))
-
-    def observe(self, value: float) -> None:
-        """Record one sample into its log bucket."""
-        if value < 0:
-            raise MetricError("histograms take non-negative observations")
-        index = self._bucket_index(value)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
-        self.count += 1
-        self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    def buckets(self) -> list[tuple[float, int]]:
-        """Sorted (upper_bound, count) pairs for non-empty buckets."""
-        return [(self.base ** index, count)
-                for index, count in sorted(self._buckets.items())]
-
-    def percentile(self, p: float) -> float:
-        """Estimate the ``p``-quantile (0..1) from the bucket counts.
-
-        Returns the geometric midpoint of the bucket holding the target
-        rank, clamped into the observed [min, max] range so degenerate
-        single-value distributions answer exactly.
-        """
-        if not 0.0 <= p <= 1.0:
-            raise MetricError("percentile wants p in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = p * self.count
-        seen = 0
-        for index, count in sorted(self._buckets.items()):
-            seen += count
-            if seen >= rank:
-                upper = self.base ** index
-                lower = 0.0 if index == 0 else self.base ** (index - 1)
-                mid = (lower + upper) / 2.0
-                return min(max(mid, self.min), self.max)
-        return self.max
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-
-class QuantileHistogram:
-    """Streaming latency digest: exact small samples, log-spaced buckets.
-
-    The SLO engine needs tail quantiles (p95/p99/p999) that are *exact*
-    for the small per-operation sample counts a single run produces, yet
-    stay O(1)-per-sample and bounded-memory under a long soak. Two modes:
-
-    * **exact** — while ``count <= exact_limit`` every sample is kept in
-      a sorted list and quantiles are exact order statistics
-      (nearest-rank);
-    * **bucketed** — past the limit the sample list is released and
-      quantiles are answered from fixed log-spaced buckets. The default
-      base is a quarter octave (``2 ** 0.25``), bounding the relative
-      quantile error at ~9% — an order of magnitude tighter than the
-      base-2 :class:`Histogram`, which is what makes p999 meaningful.
-
-    Buckets are maintained in *both* modes so the Prometheus
-    ``_bucket``/``_sum``/``_count`` exposition never changes shape when
-    the digest crosses the threshold.
+    While ``count <= exact_limit`` the histogram also keeps its samples
+    sorted and answers quantiles as exact order statistics (nearest
+    rank); past the limit the list is released. Buckets are kept in both
+    modes, so the Prometheus ``_bucket``/``_sum``/``_count`` exposition
+    never changes shape when a series crosses the limit. The SLO engine
+    registers quarter-octave buckets (``base=2 ** 0.25``, at most ~9%
+    relative quantile error) with ``exact_limit=512``.
     """
 
     __slots__ = ("base", "exact_limit", "_log_base", "_buckets", "count",
                  "sum", "min", "max", "_exact")
 
-    #: Quarter-octave buckets: <= ~9% relative error on any quantile.
-    DEFAULT_BASE = 2.0 ** 0.25
-    #: Samples kept verbatim before degrading to bucketed estimates.
-    DEFAULT_EXACT_LIMIT = 512
-
-    def __init__(self, base: float = DEFAULT_BASE,
-                 exact_limit: int = DEFAULT_EXACT_LIMIT) -> None:
+    def __init__(self, base: float = 2.0, exact_limit: int = 0) -> None:
         if base <= 1.0:
             raise MetricError("histogram base must exceed 1")
         if exact_limit < 0:
@@ -190,7 +111,7 @@ class QuantileHistogram:
 
     @property
     def exact_mode(self) -> bool:
-        """Still answering from the verbatim sample list?"""
+        """Still answering from the sorted sample list?"""
         return self._exact is not None
 
     def _bucket_index(self, value: float) -> int:
@@ -199,7 +120,7 @@ class QuantileHistogram:
         return int(math.ceil(math.log(value) / self._log_base - 1e-12))
 
     def observe(self, value: float) -> None:
-        """Record one sample (both the bucket and, if small, verbatim)."""
+        """Record one sample into its log bucket (and, if small, verbatim)."""
         if value < 0:
             raise MetricError("histograms take non-negative observations")
         index = self._bucket_index(value)
@@ -209,9 +130,10 @@ class QuantileHistogram:
         self.min = min(self.min, value)
         self.max = max(self.max, value)
         if self._exact is not None:
-            bisect.insort(self._exact, value)
-            if len(self._exact) > self.exact_limit:
+            if self.count > self.exact_limit:
                 self._exact = None
+            else:
+                bisect.insort(self._exact, value)
 
     def buckets(self) -> list[tuple[float, int]]:
         """Sorted (upper_bound, count) pairs for non-empty buckets."""
@@ -219,7 +141,12 @@ class QuantileHistogram:
                 for index, count in sorted(self._buckets.items())]
 
     def percentile(self, p: float) -> float:
-        """The ``p``-quantile (0..1): exact if small, bucketed if not."""
+        """The ``p``-quantile (0..1): exact if small, bucketed if not.
+
+        A bucketed answer is the midpoint of the bucket holding the
+        target rank, clamped into the observed [min, max] range so
+        degenerate single-value distributions answer exactly.
+        """
         if not 0.0 <= p <= 1.0:
             raise MetricError("percentile wants p in [0, 1]")
         if self.count == 0:
@@ -255,7 +182,6 @@ _KIND_FACTORY: dict[str, Callable[..., Any]] = {
     "counter": Counter,
     "gauge": Gauge,
     "histogram": Histogram,
-    "quantile_histogram": QuantileHistogram,
 }
 
 
@@ -353,19 +279,10 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "",
                   labelnames: tuple[str, ...] = (),
-                  base: float = 2.0) -> MetricFamily:
+                  base: float = 2.0, exact_limit: int = 0) -> MetricFamily:
         """Register (or fetch) a log-bucketed histogram family."""
-        return self._family("histogram", name, help, labelnames, base=base)
-
-    def quantile_histogram(self, name: str, help: str = "",
-                           labelnames: tuple[str, ...] = (),
-                           base: float = QuantileHistogram.DEFAULT_BASE,
-                           exact_limit: int =
-                           QuantileHistogram.DEFAULT_EXACT_LIMIT,
-                           ) -> MetricFamily:
-        """Register (or fetch) a :class:`QuantileHistogram` family."""
-        return self._family("quantile_histogram", name, help, labelnames,
-                            base=base, exact_limit=exact_limit)
+        return self._family("histogram", name, help, labelnames, base=base,
+                            exact_limit=exact_limit)
 
     def families(self) -> list[MetricFamily]:
         """Every registered family, in registration order."""

@@ -4,8 +4,15 @@ One :class:`Observability` instance exists per :class:`HyperTEESystem`.
 Subsystems hold an ``obs`` attribute that is ``None`` by default — the
 probes cost nothing until ``HyperTEESystem.enable_observability()``
 attaches the facade. Probe methods translate low-level events into
-registry instruments (:mod:`repro.obs.metrics`) and lifecycle spans
-(:mod:`repro.obs.trace`).
+registry instruments (:mod:`repro.obs.metrics`), the SLO digests, the
+attribution table and the flight recorder. Lifecycle spans
+(:mod:`repro.obs.trace`) are built only while ``tracer.enabled`` is set:
+serve and the other readers of the registry read no span, so attaching
+the probes does not start the tracer.
+
+Each recorded root (a scalar or batch invocation) advances the facade's
+cycle clock (:attr:`Observability.clock`) by its ``cs_cycles``, traced
+or not; root spans, flight-recorder events and fault markers read it.
 
 Probe-point map (who calls what):
 
@@ -13,7 +20,7 @@ Probe-point map (who calls what):
 caller                probe
 ====================  ==========================================
 ``cs/emcall.py``      :meth:`record_invocation` — the root span and the
-                      gate/transfer/service/poll decomposition
+                      gate/transfer/service/poll decomposition (traced)
 ``ems/runtime.py``    :meth:`record_ems_dispatch`, :meth:`record_ems_pump`
 ``hw/mailbox.py``     :meth:`record_mailbox_push`,
                       :meth:`record_mailbox_response`,
@@ -63,6 +70,7 @@ from typing import Any
 import collections
 
 from repro.common.constants import CS_CORE_FREQ_HZ, EMS_CORE_FREQ_HZ
+from repro.common.types import Primitive
 from repro.obs.attribution import Attribution
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -74,16 +82,25 @@ from repro.obs.trace import Tracer
 #: instead of growing without bound.
 _MAILBOX_PENDING_MAX = 1024
 
+#: SLO operations that are Table IV primitives (the latency table's rows).
+_PRIMITIVES = frozenset(primitive.value for primitive in Primitive)
+
 
 class Observability:
     """Metrics registry + tracer + the probe-point methods."""
 
-    def __init__(self, enabled: bool = False) -> None:
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(enabled=enabled)
-        self.enabled = enabled
-        #: request_id -> EMS dispatch detail, consumed by record_invocation
-        #: to nest the handler span inside the invocation's service span.
+        self.tracer = Tracer()
+        #: Set once HyperTEESystem.enable_observability() attached the
+        #: probes (sanitizers and chaos guards consult it).
+        self.enabled = False
+        #: The cycle timeline, in CS cycles: each recorded root advances
+        #: it by its ``cs_cycles``. Roots start here.
+        self.clock = 0.0
+        #: request_id -> EMS dispatch detail, kept only while tracing and
+        #: consumed by the invocation's root to nest the handler span in
+        #: its service span; cleared once the root is recorded.
         self._pending_ems: dict[int, dict[str, Any]] = {}
         self.slo = SLOEngine(self.metrics)
         self.attribution = Attribution(self.metrics)
@@ -100,10 +117,6 @@ class Observability:
             "hypertee_primitive_invocations_total",
             "Primitive invocations through EMCall, by primitive and status",
             ("primitive", "status"))
-        self._latency = reg.histogram(
-            "hypertee_primitive_latency_cs_cycles",
-            "End-to-end CS-visible primitive latency (EMCall invoke)",
-            ("primitive",))
         self._ems_service = reg.histogram(
             "hypertee_ems_service_cycles",
             "EMS-side handler service time, in EMS-core cycles",
@@ -114,9 +127,6 @@ class Observability:
         self._batch_size = reg.histogram(
             "hypertee_emcall_batch_size",
             "Elements per EMCall batch envelope (invoke_batch)")
-        self._batch_latency = reg.histogram(
-            "hypertee_emcall_batch_cs_cycles",
-            "End-to-end CS-visible latency per batch transaction")
         self._pump_batch = reg.histogram(
             "hypertee_ems_pump_batch_size",
             "Requests drained per EMS pump round")
@@ -130,9 +140,11 @@ class Observability:
             "hypertee_pool_refill_pages",
             "Frames requested from the CS OS per pool refill")
         self._pool_free = reg.gauge(
-            "hypertee_pool_free_frames", "Pool frames currently free")
+            "hypertee_pool_free_frames", "Pool frames currently free",
+            ("shard",))
         self._pool_used = reg.gauge(
-            "hypertee_pool_used_frames", "Pool frames handed to enclaves")
+            "hypertee_pool_used_frames", "Pool frames handed to enclaves",
+            ("shard",))
         self._swap_pages = reg.histogram(
             "hypertee_swap_surrendered_pages",
             "Pages surrendered per EWB round (request + random overshoot)")
@@ -189,18 +201,6 @@ class Observability:
             "hypertee_shard_transfer_pages",
             "Frames moved per cross-shard ownership transfer")
 
-    # -- lifecycle ----------------------------------------------------------------
-
-    def enable(self) -> None:
-        """Turn on metric probes and span recording."""
-        self.enabled = True
-        self.tracer.enabled = True
-
-    def disable(self) -> None:
-        """Stop recording (already-collected data stays queryable)."""
-        self.enabled = False
-        self.tracer.enabled = False
-
     # -- EMCall: the root probe ------------------------------------------------------
 
     def record_invocation(self, *, primitive: str, status: str,
@@ -209,7 +209,7 @@ class Observability:
                           service_cycles: int, jitter_cycles: int,
                           polls: int, enclave_id: int | None,
                           core_id: int, attempts: int = 1) -> None:
-        """One EMCall.invoke completed: metrics + the nested span tree.
+        """One EMCall.invoke completed: metrics + (traced) the span tree.
 
         The span layout mirrors the request's actual journey; the five
         child durations sum exactly to ``cs_cycles``. Retried
@@ -217,21 +217,21 @@ class Observability:
         the trailing poll/backoff span.
         """
         self._invocations.labels(primitive, status).inc()
-        self._latency.labels(primitive).observe(cs_cycles)
         self._polls.observe(polls)
         self.slo.record(primitive, cs_cycles)
         self.attribution.record_invocation(enclave_id, cs_cycles)
+        t0 = self.clock
+        self.clock = t0 + cs_cycles
         self.flightrec.record(
-            "invocation", self.tracer.clock, primitive=primitive,
+            "invocation", t0, primitive=primitive,
             status=status, request_id=request_id, cs_cycles=cs_cycles,
             enclave_id=enclave_id, attempts=attempts)
 
         tracer = self.tracer
         if not tracer.enabled:
-            self._pending_ems.pop(request_id, None)
+            self._pending_ems.clear()
             return
         track = f"cs{core_id}"
-        t0 = tracer.clock
         extra = {"attempts": attempts} if attempts > 1 else {}
         root = tracer.add_span(
             primitive, "primitive", t0, cs_cycles, track=track,
@@ -268,7 +268,7 @@ class Observability:
         tail = cs_cycles - (cursor - t0)
         tracer.add_span("emcall.poll", "emcall", cursor, tail, parent=root,
                         track=track, polls=polls, jitter_cycles=jitter_cycles)
-        tracer.advance(cs_cycles)
+        self._pending_ems.clear()
 
     def record_batch_invocation(self, *, primitives: list[str],
                                 statuses: list[str], cs_cycles: int,
@@ -277,41 +277,40 @@ class Observability:
                                 request_ids: list[int], jitter_cycles: int,
                                 polls: int, enclave_id: int | None,
                                 core_id: int, attempts: int = 1) -> None:
-        """One EMCall.invoke_batch completed: metrics + the batch span tree.
+        """One EMCall.invoke_batch completed: metrics + (traced) the span tree.
 
         Metrics stay comparable with the scalar probe: every element
         counts in the per-primitive invocation counter and contributes an
-        *amortized* share of the batch latency to the latency histogram.
-        The trace gets one ``emcall.batch[N]`` root whose children tile
-        it exactly — gate, one request crossing, the N handler spans in
-        dispatch order, one response crossing, and the poll/jitter tail.
+        *amortized* share of the batch latency to its primitive's SLO
+        digest. The trace gets one ``emcall.batch[N]`` root whose
+        children tile it exactly — gate, one request crossing, the N
+        handler spans in dispatch order, one response crossing, and the
+        poll/jitter tail.
         """
         n = len(primitives)
         self._batch_size.observe(n)
-        self._batch_latency.observe(cs_cycles)
         self._polls.observe(polls)
         self.slo.record(BATCH_OPERATION, cs_cycles)
         self.attribution.record_invocation(enclave_id, cs_cycles, count=n)
+        t0 = self.clock
+        self.clock = t0 + cs_cycles
         self.flightrec.record(
-            "batch", self.tracer.clock, batch_size=n, cs_cycles=cs_cycles,
+            "batch", t0, batch_size=n, cs_cycles=cs_cycles,
             enclave_id=enclave_id, attempts=attempts,
             statuses=sorted(set(statuses)))
         share, remainder = divmod(cs_cycles, n)
         for index, (primitive, status) in enumerate(zip(primitives, statuses)):
             self._invocations.labels(primitive, status).inc()
-            amortized = share + (1 if index < remainder else 0)
-            self._latency.labels(primitive).observe(amortized)
             # The per-primitive SLO series stays live under batching:
             # each element contributes its amortized envelope share.
-            self.slo.record(primitive, amortized)
+            self.slo.record(primitive,
+                            share + (1 if index < remainder else 0))
 
         tracer = self.tracer
         if not tracer.enabled:
-            for request_id in request_ids:
-                self._pending_ems.pop(request_id, None)
+            self._pending_ems.clear()
             return
         track = f"cs{core_id}"
-        t0 = tracer.clock
         extra = {"attempts": attempts} if attempts > 1 else {}
         root = tracer.add_span(
             f"emcall.batch[{n}]", "primitive", t0, cs_cycles, track=track,
@@ -347,7 +346,7 @@ class Observability:
         tracer.add_span("emcall.poll", "emcall", cursor, tail, parent=root,
                         track=track, polls=polls,
                         jitter_cycles=jitter_cycles)
-        tracer.advance(cs_cycles)
+        self._pending_ems.clear()
 
     # -- EMS runtime ----------------------------------------------------------------
 
@@ -358,10 +357,11 @@ class Observability:
         """The EMS dispatched one request (handler detail for the trace)."""
         self._ems_service.labels(primitive).observe(service_cycles)
         self.attribution.record_ems_service(enclave_id, service_cycles)
-        self._pending_ems[request_id] = {
-            "primitive": primitive, "status": status,
-            "service_cycles": service_cycles, "ems_core": core_index,
-        }
+        if self.tracer.enabled:
+            self._pending_ems[request_id] = {
+                "primitive": primitive, "status": status,
+                "service_cycles": service_cycles, "ems_core": core_index,
+            }
 
     def record_ems_pump(self, batch_size: int) -> None:
         """One pump round drained ``batch_size`` requests."""
@@ -379,7 +379,7 @@ class Observability:
         """A cross-shard ownership transfer committed."""
         self._shard_transfers.labels(str(src), str(dst)).inc()
         self._shard_transfer_pages.observe(pages)
-        self.flightrec.record("shard_transfer", self.tracer.clock,
+        self.flightrec.record("shard_transfer", self.clock,
                               src=src, dst=dst, pages=pages)
 
     # -- mailbox ---------------------------------------------------------------------
@@ -412,7 +412,7 @@ class Observability:
     def record_mailbox_reject(self, kind: str) -> None:
         """The mailbox refused a packet (capacity, forgery, ...)."""
         self._mailbox_events.labels(f"rejected_{kind}").inc()
-        self.flightrec.record("reject", self.tracer.clock, reject=kind)
+        self.flightrec.record("reject", self.clock, reject=kind)
 
     # -- fault injection / EMCall hardening ---------------------------------------------
 
@@ -425,11 +425,11 @@ class Observability:
         """
         self._faults.labels(point).inc()
         self._fault_magnitude.labels(point).observe(magnitude)
-        self.flightrec.record("fault", self.tracer.clock, point=point,
+        self.flightrec.record("fault", self.clock, point=point,
                               magnitude=magnitude)
         tracer = self.tracer
         if tracer.enabled:
-            tracer.add_span(f"fault:{point}", "fault", tracer.clock, 0,
+            tracer.add_span(f"fault:{point}", "fault", self.clock, 0,
                             track="faults", point=point, magnitude=magnitude)
 
     def record_emcall_retry(self, primitive: str, attempt: int,
@@ -439,7 +439,7 @@ class Observability:
         self._retries.labels(primitive).inc()
         self._backoff_cycles.observe(backoff_cycles)
         self.attribution.record_retry(enclave_id)
-        self.flightrec.record("retry", self.tracer.clock,
+        self.flightrec.record("retry", self.clock,
                               primitive=primitive, attempt=attempt,
                               backoff_cycles=backoff_cycles,
                               enclave_id=enclave_id)
@@ -449,7 +449,7 @@ class Observability:
         """A poll deadline expired with no response collected."""
         self._timeouts.labels(primitive).inc()
         self.attribution.record_timeout(enclave_id)
-        self.flightrec.record("timeout", self.tracer.clock,
+        self.flightrec.record("timeout", self.clock,
                               primitive=primitive, attempt=attempt,
                               enclave_id=enclave_id)
 
@@ -462,7 +462,7 @@ class Observability:
         alongside the counters.
         """
         self._degraded.labels(primitive).inc()
-        self.flightrec.record("degraded", self.tracer.clock,
+        self.flightrec.record("degraded", self.clock,
                               primitive=primitive, attempts=attempts,
                               enclave_id=enclave_id)
         self.flightrec.trip("emcall-degraded",
@@ -478,24 +478,26 @@ class Observability:
 
     # -- enclave memory pool -----------------------------------------------------------
 
-    def record_pool_refill(self, pages: int, free: int, used: int) -> None:
-        """The pool bulk-requested ``pages`` frames from the CS OS."""
-        self._pool_refill_pages.observe(pages)
-        self._pool_free.set(free)
-        self._pool_used.set(used)
+    def _pool_occupancy(self, shard: int, free: int, used: int) -> None:
+        self._pool_free.labels(shard).set(free)
+        self._pool_used.labels(shard).set(used)
 
-    def record_pool_take(self, pages: int, free: int, used: int,
+    def record_pool_refill(self, shard: int, pages: int, free: int,
+                           used: int) -> None:
+        """Shard ``shard``'s pool bulk-requested ``pages`` frames."""
+        self._pool_refill_pages.observe(pages)
+        self._pool_occupancy(shard, free, used)
+
+    def record_pool_take(self, shard: int, pages: int, free: int, used: int,
                          owner: Any = None) -> None:
-        """Frames left the pool for an enclave."""
-        self._pool_free.set(free)
-        self._pool_used.set(used)
+        """Frames left shard ``shard``'s pool for an enclave."""
+        self._pool_occupancy(shard, free, used)
         self.attribution.record_pool_take(pages, owner)
 
-    def record_pool_return(self, pages: int, free: int, used: int,
-                           owner: Any = None) -> None:
-        """Frames came back (EFREE / EDESTROY), zeroed."""
-        self._pool_free.set(free)
-        self._pool_used.set(used)
+    def record_pool_return(self, shard: int, pages: int, free: int,
+                           used: int, owner: Any = None) -> None:
+        """Frames came back to shard ``shard``'s pool, zeroed."""
+        self._pool_occupancy(shard, free, used)
         self.attribution.record_pool_return(pages, owner)
 
     def record_os_alloc(self, requestor: str, pages: int) -> None:
@@ -539,19 +541,24 @@ class Observability:
     # -- queries -------------------------------------------------------------------------
 
     def primitive_latency_table(self) -> list[dict[str, Any]]:
-        """Per-primitive p50/p90/p99 over the CS-visible latency."""
+        """Per-primitive p50/p90/p99 over the CS-visible latency.
+
+        Reads the primitives' SLO digests: exact order statistics up to
+        512 samples, quarter-octave estimates past that.
+        """
         rows = []
-        for labels, hist in self._latency.samples():
-            if not hist.count:
+        for primitive in self.slo.operations():
+            if primitive not in _PRIMITIVES:
                 continue
+            digest = self.slo.digest(primitive)
             rows.append({
-                "primitive": labels["primitive"],
-                "count": hist.count,
-                "p50": hist.percentile(0.50),
-                "p90": hist.percentile(0.90),
-                "p99": hist.percentile(0.99),
-                "mean": hist.mean,
-                "max": hist.max,
+                "primitive": primitive,
+                "count": digest.count,
+                "p50": digest.percentile(0.50),
+                "p90": digest.percentile(0.90),
+                "p99": digest.percentile(0.99),
+                "mean": digest.mean,
+                "max": digest.max,
             })
         rows.sort(key=lambda r: -r["count"])
         return rows

@@ -4,8 +4,12 @@ A :class:`Tracer` records the full lifecycle of each primitive as nested
 spans on a virtual timeline measured in **CS-core cycles** — the same
 unit the timing model reports. Probe points call :meth:`Tracer.add_span`
 with explicit start/duration (the cycle model already knows both, so no
-wall-clock sampling is ever involved), and :meth:`Tracer.advance` moves
-the timeline cursor forward after each root span.
+wall-clock sampling is ever involved); roots start at the probe facade's
+cycle clock (``Observability.clock``), which each root advances.
+
+Recording is opt-in: ``HyperTEESystem.enable_observability()`` attaches
+the probes with the tracer off, and span trees are built only while
+``Tracer.enabled`` is set (``repro trace`` sets it for its scenario).
 
 The recorded timeline exports as Chrome ``trace_event`` JSON
 (:meth:`export_chrome`): complete ``"X"`` events whose timestamps are
@@ -57,8 +61,6 @@ class Tracer:
         self.max_spans = max_spans
         self._spans: list[Span] = []
         self._next_id = 1
-        #: The timeline cursor, in CS cycles. Root spans begin here.
-        self.clock = 0.0
         self.dropped = 0
 
     # -- recording ---------------------------------------------------------------
@@ -82,11 +84,6 @@ class Tracer:
         self._spans.append(span)
         return span
 
-    def advance(self, cycles: float) -> None:
-        """Move the timeline cursor past a completed root span."""
-        if self.enabled:
-            self.clock += cycles
-
     # -- inspection --------------------------------------------------------------
 
     def spans(self) -> list[Span]:
@@ -107,9 +104,8 @@ class Tracer:
         return [s for s in self._spans if s.parent_id == span.span_id]
 
     def clear(self) -> None:
-        """Drop all spans and rewind the timeline cursor."""
+        """Drop all spans and the dropped-span count."""
         self._spans.clear()
-        self.clock = 0.0
         self.dropped = 0
 
     # -- Chrome trace_event export -------------------------------------------------

@@ -148,6 +148,31 @@ def test_tee005_good_consulted_points_and_unique_metrics(lint_fixture):
     assert result.findings == []
 
 
+def test_tee005_sees_the_slo_digest_declared_through_histogram(tmp_path):
+    """The SLO digest is a ``histogram`` declaration: a second one fires."""
+    import shutil
+
+    from repro.analysis import run_lint
+
+    from .conftest import SRC
+
+    obs = tmp_path / "repro" / "obs"
+    obs.mkdir(parents=True)
+    for package in (obs.parent, obs):
+        (package / "__init__.py").write_text("")
+    shutil.copy(SRC / "obs" / "slo.py", obs / "slo.py")
+    assert run_lint([obs.parent], only=("TEE005",)).findings == []
+
+    (obs / "again.py").write_text(
+        "def declare(registry):\n"
+        "    return registry.histogram(\n"
+        "        \"hypertee_slo_operation_latency\", \"again\",\n"
+        "        (\"operation\",))\n")
+    result = run_lint([obs.parent], only=("TEE005",))
+    assert keys(result) == {"dup-metric:hypertee_slo_operation_latency"}
+    assert "repro/obs/" in result.findings[0].message
+
+
 # -- TEE004 interprocedural --------------------------------------------------
 
 def test_tee004_interproc_bad_crosses_two_calls_and_a_method(lint_fixture):

@@ -72,13 +72,15 @@ def chaos_tee(plan: FaultPlan, *, max_attempts: int = 16,
     ~27% per-attempt loss rate the retry feedback loop (every failed
     attempt creates the next fault opportunity) can walk through a
     cluster of bad draws, and 16 attempts pushes the residual timeout
-    probability below 1e-9 per invocation.
+    probability below 1e-9 per invocation. ``observability`` attaches the
+    probes and records spans, so fault markers land on the trace.
     """
     config.setdefault("cs_memory_mb", 96)
     config.setdefault("ems_memory_mb", 4)
     tee = HyperTEE(SystemConfig(**config))
     if observability:
         tee.system.enable_observability()
+        tee.system.obs.tracer.enabled = True
     sanitizers = chaos_sanitizers()
     if sanitizers:
         tee.system.enable_sanitizers(sanitizers)

@@ -1,4 +1,4 @@
-"""Prometheus exposition hardening: hostile labels, new histogram kind."""
+"""Prometheus exposition hardening: hostile labels, quantile digests."""
 
 from __future__ import annotations
 
@@ -43,8 +43,9 @@ def test_help_text_newlines_and_backslashes_are_escaped():
 
 def test_quantile_histogram_exposes_bucket_sum_count():
     registry = MetricsRegistry()
-    digest = registry.quantile_histogram("hypertee_q_latency",
-                                         "digest", ("operation",))
+    digest = registry.histogram("hypertee_q_latency", "digest",
+                                ("operation",), base=2 ** 0.25,
+                                exact_limit=512)
     for value in (10, 100, 1000):
         digest.labels("EALLOC").observe(value)
     text = render_prometheus(registry)
@@ -63,7 +64,8 @@ def test_quantile_histogram_exposes_bucket_sum_count():
 
 def test_json_export_carries_quantiles_for_the_new_kind():
     registry = MetricsRegistry()
-    digest = registry.quantile_histogram("hypertee_q_latency", "digest")
+    digest = registry.histogram("hypertee_q_latency", "digest",
+                                base=2 ** 0.25, exact_limit=512)
     for value in range(1, 11):
         digest.observe(value)
     doc = registry_as_dict(registry)

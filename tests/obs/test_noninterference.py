@@ -54,6 +54,7 @@ def test_tracing_does_not_perturb_the_model():
     plain = HyperTEE(SystemConfig(seed=1234))
     traced = HyperTEE(SystemConfig(seed=1234))
     traced.system.enable_observability()
+    traced.system.obs.tracer.enabled = True
 
     a = _workload(plain)
     b = _workload(traced)
@@ -101,8 +102,10 @@ def test_empty_fault_plan_with_tracing_matches_tracing_alone():
 
     traced = HyperTEE(SystemConfig(seed=77))
     traced.system.enable_observability()
+    traced.system.obs.tracer.enabled = True
     both = HyperTEE(SystemConfig(seed=77))
     both.system.enable_observability()
+    both.system.obs.tracer.enabled = True
     both.system.enable_fault_injection(FaultPlan.empty())
 
     a = _workload(traced)
@@ -119,6 +122,7 @@ def test_table6_attacks_identical_with_tracing_on():
     def traced_factory():
         tee = HyperTEE(SystemConfig(cs_memory_mb=96))
         tee.system.enable_observability()
+        tee.system.obs.tracer.enabled = True
         return HyperTEEAdapter(tee=tee)
 
     plain = defense_matrix({"hypertee": plain_factory})["hypertee"]

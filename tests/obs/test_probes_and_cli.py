@@ -66,7 +66,7 @@ def test_subsystem_probes_fired(traced_tee):
     assert reg.get("hypertee_ems_pump_batch_size").labels().count > 0
     # The boot-time refill predates enable_observability(); the take and
     # give-back probes keep the occupancy gauges current afterwards.
-    assert reg.get("hypertee_pool_free_frames").labels().value > 0
+    assert reg.get("hypertee_pool_free_frames").labels("0").value > 0
     assert reg.get("hypertee_swap_surrendered_pages").labels().count == 1
     crypto = {labels["op"]: c.value
               for labels, c in reg.get("hypertee_crypto_ops_total").samples()}
@@ -78,8 +78,8 @@ def test_subsystem_probes_fired(traced_tee):
 def test_prometheus_rendering(traced_tee):
     text = render_prometheus(traced_tee.system.obs.metrics)
     assert "# TYPE hypertee_primitive_invocations_total counter" in text
-    assert "# TYPE hypertee_primitive_latency_cs_cycles histogram" in text
-    assert 'primitive="EALLOC"' in text
+    assert "# TYPE hypertee_slo_operation_latency histogram" in text
+    assert 'operation="EALLOC"' in text
     assert 'le="+Inf"' in text
     # One value per sample line, no blank lines inside the exposition.
     for line in text.strip().splitlines():
@@ -88,11 +88,11 @@ def test_prometheus_rendering(traced_tee):
 
 def test_json_rendering(traced_tee):
     doc = json.loads(render_json(traced_tee.system.obs.metrics))
-    lat = doc["metrics"]["hypertee_primitive_latency_cs_cycles"]
+    lat = doc["metrics"]["hypertee_slo_operation_latency"]
     assert lat["kind"] == "histogram"
-    series = {s["labels"]["primitive"]: s["value"] for s in lat["series"]}
+    series = {s["labels"]["operation"]: s["value"] for s in lat["series"]}
     assert series["EALLOC"]["count"] >= 1
-    assert {"p50", "p90", "p99", "buckets"} <= set(series["EALLOC"])
+    assert {"p50", "p95", "p99", "buckets"} <= set(series["EALLOC"])
     assert set(doc["subsystems"]) == {"ems", "mailbox", "fabric", "pool",
                                       "emcall", "tlb", "interrupts", "faults"}
 

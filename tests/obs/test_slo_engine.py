@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, QuantileHistogram
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import (
     BATCH_OPERATION,
     DEFAULT_SLO_TABLE,
@@ -14,10 +14,15 @@ from repro.obs.slo import (
 )
 
 
-# -- QuantileHistogram -------------------------------------------------------
+# -- the digest: a quarter-octave Histogram with an exact limit ---------------
+
+def _digest(exact_limit: int = 512) -> Histogram:
+    """A digest configured as the SLO engine registers its family."""
+    return Histogram(base=2 ** 0.25, exact_limit=exact_limit)
+
 
 def test_small_samples_are_exact_order_statistics():
-    hist = QuantileHistogram()
+    hist = _digest()
     for value in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]:
         hist.observe(value)
     assert hist.exact_mode
@@ -29,7 +34,7 @@ def test_small_samples_are_exact_order_statistics():
 
 
 def test_overflow_switches_to_log_buckets_with_bounded_error():
-    hist = QuantileHistogram(exact_limit=64)
+    hist = _digest(exact_limit=64)
     values = [1000 + 13 * i for i in range(500)]
     for value in values:
         hist.observe(value)
@@ -44,8 +49,8 @@ def test_overflow_switches_to_log_buckets_with_bounded_error():
 
 
 def test_buckets_are_maintained_in_both_modes():
-    exact = QuantileHistogram(exact_limit=512)
-    bucketed = QuantileHistogram(exact_limit=4)
+    exact = _digest(exact_limit=512)
+    bucketed = _digest(exact_limit=4)
     for value in [5, 50, 500, 5000, 50000, 500000]:
         exact.observe(value)
         bucketed.observe(value)
@@ -56,7 +61,7 @@ def test_buckets_are_maintained_in_both_modes():
 
 
 def test_min_max_mean_track_every_observation():
-    hist = QuantileHistogram(exact_limit=2)
+    hist = _digest(exact_limit=2)
     for value in (8, 2, 14):
         hist.observe(value)
     assert (hist.min, hist.max) == (2, 14)

@@ -7,29 +7,28 @@ import json
 from repro.obs.trace import Tracer, walk_roots
 
 
-def _record_one_invocation(tracer: Tracer) -> None:
-    root = tracer.add_span("EALLOC", "primitive", tracer.clock, 1000)
-    tracer.add_span("emcall.gate", "emcall", tracer.clock, 350, parent=root)
-    tracer.add_span("mailbox.request", "mailbox", tracer.clock + 350, 60,
+def _record_one_invocation(tracer: Tracer, start: float = 0.0) -> None:
+    root = tracer.add_span("EALLOC", "primitive", start, 1000)
+    tracer.add_span("emcall.gate", "emcall", start, 350, parent=root)
+    tracer.add_span("mailbox.request", "mailbox", start + 350, 60,
                     parent=root)
-    tracer.advance(1000)
 
 
 def test_disabled_tracer_records_nothing():
     tracer = Tracer(enabled=False)
     assert tracer.add_span("x", "cat", 0, 10) is None
-    tracer.advance(10)
-    assert len(tracer) == 0 and tracer.clock == 0.0
+    _record_one_invocation(tracer)
+    assert len(tracer) == 0 and tracer.spans() == []
 
 
 def test_span_tree_and_queries():
     tracer = Tracer(enabled=True)
     _record_one_invocation(tracer)
-    _record_one_invocation(tracer)
+    _record_one_invocation(tracer, start=1000)
     assert len(tracer) == 6
     roots = list(walk_roots(tracer.spans()))
     assert [r.name for r in roots] == ["EALLOC", "EALLOC"]
-    assert roots[1].start_cycle == 1000  # second invocation after advance
+    assert roots[1].start_cycle == 1000  # the second invocation's start
     kids = tracer.children_of(roots[0])
     assert [k.name for k in kids] == ["emcall.gate", "mailbox.request"]
     assert kids[1].end_cycle == 410
@@ -45,10 +44,11 @@ def test_capacity_drops_are_counted():
 
 
 def test_clear_resets_everything():
-    tracer = Tracer(enabled=True)
+    tracer = Tracer(enabled=True, max_spans=2)
     _record_one_invocation(tracer)
+    assert tracer.dropped == 1
     tracer.clear()
-    assert len(tracer) == 0 and tracer.clock == 0.0 and tracer.dropped == 0
+    assert len(tracer) == 0 and tracer.dropped == 0
 
 
 def test_chrome_export_shape(tmp_path):
