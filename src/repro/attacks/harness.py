@@ -3,8 +3,8 @@
 ``defense_matrix`` executes the five attack channels against each TEE
 model (a *fresh* model per attack, so runs cannot contaminate each other)
 and returns the computed outcome grid. ``expected_paper_matrix`` encodes
-the paper's published Table VI for comparison; the Table VI bench asserts
-cell-for-cell agreement.
+the paper's published Table VI for comparison; tests/attacks/test_harness.py
+asserts cell-for-cell agreement.
 """
 
 from __future__ import annotations

@@ -145,7 +145,9 @@ class HyperTEEAdapter(TEEInterface):
             region = owner.create_shared_region(1, Permission.RW)
             va = owner.attach(region)
             owner.write(va, b"shared-secret")
-        control = system.shm.regions[region.shm_id]
+        # Region IDs are per shard: look the region up on the owner's.
+        shm = system.shard_pool.shard_of(owner.enclave_id).shm
+        control = shm.regions[region.shm_id]
         frame = control.frames[0]
 
         # (1) Map the shared frame into an attacker host process and read.

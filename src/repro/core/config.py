@@ -5,9 +5,9 @@ security-mechanism toggles the evaluation sweeps:
 
 * ``ems_core`` — "weak" / "medium" / "strong" (Fig. 7);
 * ``crypto`` — "engine" / "software" (Table IV);
-* ``integrity`` — whether the memory encryption engine keeps per-line
-  MACs (enclave memory is always encrypted);
 * ``bitmap_checking`` — the *Bitmap* scenario knob (Fig. 10).
+
+Enclave memory is always encrypted and integrity-checked.
 
 The *M_encrypt* scenario of Fig. 8b/9 is a timing scenario, modelled by
 :attr:`repro.eval.scenarios.Scenario.memory_encryption` in the workload
@@ -15,7 +15,7 @@ runner rather than by a platform knob.
 
 Functional protections stay on regardless of the timing knobs unless a
 knob is explicitly about functionality (``bitmap_checking`` off removes
-the PTW check entirely — used by ablation benches and baselines).
+the PTW check entirely — used by the model-validation test).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class SystemConfig:
     ems_core: str = "medium"
     ems_cores: int = 1
     crypto: str = "engine"
-    integrity: bool = True
     bitmap_checking: bool = True
     pool_initial_pages: int = POOL_INITIAL_PAGES
     seed: int = 0x1EE7

@@ -22,7 +22,7 @@ and whose gate is the platform's ``emcall``. More shards put a
 :class:`~repro.cs.emcall.ShardedEMCall` router in front of the gates
 (docs/scale_out.md).
 
-Everything downstream (SDK, examples, benches, attacks) builds a system
+Everything downstream (SDK, examples, evaluation, attacks) builds a system
 through this class.
 """
 
@@ -78,7 +78,7 @@ class HyperTEESystem:
         cs_bytes = cfg.cs_memory_mb * 1024 * 1024
         ems_bytes = cfg.ems_memory_mb * 1024 * 1024
         self.memory = PhysicalMemory(cs_bytes + ems_bytes)
-        self.engine = MemoryEncryptionEngine(integrity_enabled=cfg.integrity)
+        self.engine = MemoryEncryptionEngine()
         self.memory.encryption_engine = self.engine
         self.partition = AddressPartition(
             cs_base=0, cs_size=cs_bytes, ems_base=cs_bytes, ems_size=ems_bytes)
@@ -290,8 +290,8 @@ class HyperTEESystem:
         """Attach a deterministic fault injector driven by ``plan``.
 
         Wires the injector into every fault point on every shard: the
-        mailbox queues and transfer legs, the EMS runtime, the EMCall
-        gate and the shard pool's transfers. An empty plan is guaranteed
+        mailbox queues and transfer legs, the EMS runtime and the shard
+        pool's outages and transfers. An empty plan is guaranteed
         non-interfering: cycle counts, stats, and attestation signatures
         stay bit-identical to a system without injection
         (tests/obs/test_noninterference.py). Returns self for chaining.

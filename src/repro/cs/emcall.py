@@ -281,8 +281,6 @@ class EMCall:
         self._interrupt_observer = None
         #: Out-of-band observability hook (attached by the system).
         self.obs = None
-        #: Fault injector (None = clear weather); see repro.faults.
-        self.faults = None
         #: Runtime sanitizer manager (None = off); see repro.sanitize.
         self.san = None
         #: Retry/timeout/degradation knobs; swap for a custom policy.

@@ -47,7 +47,7 @@ TABLE5_EMS_CHOICE = {
 #: Published CS areas (mm^2) for the Table V comparison.
 TABLE5_CS_AREA = {4: 35.0, 8: 74.0, 16: 151.0, 32: 304.0, 64: 612.0}
 
-#: Published overheads (%) — the numbers the bench must reproduce.
+#: Published overheads (%) — the numbers the model must reproduce.
 TABLE5_OVERHEAD_PCT = {4: 0.97, 8: 0.46, 16: 0.34, 32: 0.49, 64: 0.25}
 
 

@@ -1,9 +1,10 @@
 """Calibration constants pinning the timing model to the paper's numbers.
 
 Every constant names the paper table/figure it was fitted against. The
-model is *predictive in shape*: these constants are fitted once, and the
-benches then reproduce whole curves/tables (including points the constants
-were not directly fitted to, e.g. intermediate sizes and configurations).
+model is *predictive in shape*: these constants are fitted once, and
+``repro.eval.regenerate`` then reproduces whole curves/tables (including
+points the constants were not directly fitted to, e.g. intermediate sizes
+and configurations).
 
 Units: "CS cycles" are cycles of the 2.5 GHz CS core; "EMS instructions"
 are retired instructions on the EMS core (converted to cycles through the

@@ -1,8 +1,7 @@
-"""Plain-text rendering of tables and series for the bench harness.
+"""Plain-text rendering of the paper's tables and figures.
 
-Every benchmark prints the rows/series its paper table or figure reports,
-through these helpers, so ``pytest benchmarks/ --benchmark-only -s``
-regenerates the evaluation section as text.
+``repro.eval.regenerate`` renders every artifact's rows through these
+helpers, so ``python -m repro`` prints the evaluation section as text.
 """
 
 from __future__ import annotations
@@ -26,12 +25,6 @@ def render_table(title: str, headers: Sequence[str],
              fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in materialized)
     return "\n".join(lines)
-
-
-def render_series(title: str, points: Iterable[tuple[object, object]],
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """A two-column series (one figure curve)."""
-    return render_table(title, [x_label, y_label], points)
 
 
 def pct(value: float, digits: int = 2) -> str:

@@ -32,11 +32,13 @@ FAULT_POINTS: dict[str, str] = {
     "mailbox.queue_full":
         "the request queue reports full for the next `magnitude` pushes "
         "(a backpressure burst)",
+    "fabric.latency":
+        "one mailbox transfer leg takes `magnitude` extra CS cycles",
+    # -- EMS runtime (ems/runtime.py) --------------------------------------
     "mailbox.batch.element_corrupt":
         "one element inside a batch envelope arrives CRC-broken; the EMS "
         "Rx edge answers TRANSIENT for that element alone (its handler "
         "never runs) so only it is replayed (magnitude unused)",
-    # -- EMS runtime (ems/runtime.py) --------------------------------------
     "ems.handler.exception":
         "the handler crashes before touching state; the runtime answers "
         "TRANSIENT (magnitude unused)",
@@ -53,9 +55,6 @@ FAULT_POINTS: dict[str, str] = {
         "a cross-shard ownership transfer aborts between prepare and "
         "commit; no state moves and the transfer may be retried "
         "(magnitude unused)",
-    # -- fabric / iHub transfer path (hw/fabric.py) ------------------------
-    "fabric.latency":
-        "one mailbox transfer leg takes `magnitude` extra CS cycles",
 }
 
 

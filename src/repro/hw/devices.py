@@ -13,7 +13,7 @@ CS side peripherals used by the communication evaluation (Section VII-D):
   whitelist check.
 * :class:`GemminiAccelerator` — a Gemmini-like DNN accelerator: consumes
   weights/activations from shared memory via DMA, with a throughput model
-  used by the Fig. 12 bench.
+  for the Fig. 12 scenario.
 * :class:`NICController` — a NIC moving packet buffers via DMA.
 """
 

@@ -53,10 +53,8 @@ LineReader = Callable[[int, int], bytes]
 class MemoryEncryptionEngine:
     """The per-SoC encryption + integrity engine on the memory path."""
 
-    def __init__(self, key_slots: int = DEFAULT_KEY_SLOTS,
-                 integrity_enabled: bool = True) -> None:
+    def __init__(self, key_slots: int = DEFAULT_KEY_SLOTS) -> None:
         self.key_slots = key_slots
-        self.integrity_enabled = integrity_enabled
         self._ciphers: dict[int, KeystreamCipher] = {}
         self._mac_keys: dict[int, MacKey] = {}
         #: keyid -> frame -> its page keystream, or None once seen whole
@@ -176,8 +174,6 @@ class MemoryEncryptionEngine:
             for line in self._lines(paddr, length):
                 self._macs.pop(line, None)
             return
-        if not self.integrity_enabled:
-            return
         mac_key = self._mac_keys.get(keyid)
         if mac_key is None:
             return
@@ -198,7 +194,7 @@ class MemoryEncryptionEngine:
         of that slice under the record's key must equal the MAC of the
         stored bytes under the slot's key.
         """
-        if keyid == HOST_KEYID or not self.integrity_enabled:
+        if keyid == HOST_KEYID:
             return
         mac_key = self._mac_keys.get(keyid)
         if mac_key is None:
@@ -261,10 +257,9 @@ class MemoryEncryptionEngine:
         """
         keyid, cipher, mac_key = slot
         stored = cipher.keystream(paddr, size)
-        if self.integrity_enabled:
-            record = (keyid, mac_key, paddr, stored)
-            for line in range(paddr, paddr + size, CACHE_LINE_SIZE):
-                self._macs[line] = record
+        record = (keyid, mac_key, paddr, stored)
+        for line in range(paddr, paddr + size, CACHE_LINE_SIZE):
+            self._macs[line] = record
         return stored
 
     # -- helpers ---------------------------------------------------------------

@@ -5,8 +5,9 @@ Where :mod:`repro.workloads.runner` computes overheads from *assumed*
 miss rates, the :class:`TraceExecutor` measures them: every access goes
 through the core's TLB, the page-table walker (with live bitmap
 checking), and a cache model, and the executor accounts the same cycle
-costs the PTW reports. The validation bench compares the bitmap-checking
-overhead measured here against the analytic Fig. 10 formula.
+costs the PTW reports. The model-validation test compares the
+bitmap-checking overhead measured here against the analytic Fig. 10
+formula.
 """
 
 from __future__ import annotations

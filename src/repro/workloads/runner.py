@@ -2,8 +2,8 @@
 
 This is the analytic runtime model behind Table IV and Figs. 7/9/10: the
 same cost functions as :mod:`repro.workloads.costs` composed per
-scenario. Components are kept separate so benches can report exactly the
-quantity each figure plots (EMEAS share, all-primitive share, memory-
+scenario. Components are kept separate so each figure reports exactly the
+quantity it plots (EMEAS share, all-primitive share, memory-
 management overhead, bitmap overhead).
 """
 

@@ -13,8 +13,8 @@ The compute-side parameters (instructions, CPI, memory behaviour) are
 plausible values for each benchmark class; the evaluation consumes only
 the ratios, which are pinned by the solve. The solve happens once at
 import time through the same cost functions the runner uses, so the
-benches that later *recompute* Table IV/Fig. 7 are exercising the cost
-model, not reading back stored answers.
+data functions that later *recompute* Table IV/Fig. 7 are exercising the
+cost model, not reading back stored answers.
 """
 
 from __future__ import annotations

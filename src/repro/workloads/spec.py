@@ -5,8 +5,8 @@ walk, so its overhead is governed by each benchmark's D-TLB miss rate.
 The paper reports the only hard characterization numbers we have:
 xalancbmk_r misses 0.8% of accesses (4.6% overhead) while the others stay
 under 0.2%, for a 1.9% average. Each profile's TLB behaviour below is set
-to a plausible per-benchmark value consistent with those constraints; the
-bench then *computes* the overheads through the PTW cost model.
+to a plausible per-benchmark value consistent with those constraints;
+Fig. 10 then *computes* the overheads through the PTW cost model.
 
 Reference-input instruction counts are scaled down ~1000x (the model is
 analytic — only ratios matter) with per-benchmark CPI typical of SPECint.

@@ -54,3 +54,19 @@ def test_swap_untargetable_but_functional(adapter: HyperTEEAdapter):
     # EWB actually ran: the OS received (random, useless) frames.
     assert len(adapter.tee.system.os.swap_log) == swaps_before + 1
     assert adapter.attacker_observe_swap_in(victim, 0) is None
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_comm_attack_reads_the_owners_shard(shards: int):
+    """Shared-memory region IDs are per shard: with three padding
+    enclaves launched first, the owner lands off shard 0 on 4 shards,
+    and the attack must still find its region there."""
+    from repro.core.api import HyperTEE
+    from repro.core.config import SystemConfig
+    from repro.core.enclave import EnclaveConfig
+
+    tee = HyperTEE(SystemConfig(ems_shards=shards, cs_memory_mb=96))
+    for i in range(3):
+        tee.launch_enclave(b"pad%d" % i, EnclaveConfig(name=f"p{i}"))
+    surface = HyperTEEAdapter(tee).comm_attack_surface()
+    assert surface and not any(surface.values()), surface

@@ -1,11 +1,12 @@
 """Golden pin for Table IV: exact values, not just paper-shape bands.
 
-benchmarks/test_table4_primitives.py asserts the *shape* (each cell
-lands within the paper's tolerance). This test pins the model's exact
-output in ``tests/golden/table4.json`` so an accidental calibration or
+tests/eval/test_paper_figures.py asserts the *shape* (each cell lands
+within the paper's tolerance). This test pins the model's exact output
+in ``tests/golden/table4.json`` so an accidental calibration or
 cycle-model drift shows up as a diff even when it stays inside the
 bands — e.g. a batching change that should leave the scalar paper
-numbers bit-unchanged.
+numbers bit-unchanged. The other artifacts' numbers are pinned by
+``tests/golden/paper.json`` (tests/eval/test_golden_paper.py).
 
 Legitimate model changes refresh the file with::
 

@@ -8,7 +8,7 @@ from repro.eval.overhead import (
     context_switch_flush_overhead,
     tlb_refill_cycles,
 )
-from repro.eval.report import pct, render_series, render_table, times
+from repro.eval.report import pct, render_table, times
 
 
 def test_refill_bounded_by_tlb_capacity():
@@ -43,8 +43,6 @@ def test_render_table():
     assert len(lines) == 5
 
 
-def test_render_series_and_formatters():
-    out = render_series("S", [(1, 2.0)], x_label="mb", y_label="ovh")
-    assert "mb" in out and "ovh" in out
+def test_formatters():
     assert pct(0.0213) == "2.13%"
     assert times(4.26) == "4.3x"

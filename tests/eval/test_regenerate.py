@@ -1,17 +1,10 @@
-"""The `python -m repro` regeneration CLI.
-
-The figure/table regenerations are the heaviest tests in the tree;
-they carry the ``slow`` marker so the fast loop can skip them with
-``-m "not slow"`` (see pytest.ini).
-"""
+"""The `python -m repro` regeneration CLI: every artifact renders."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.eval.regenerate import ARTIFACTS, regenerate
-
-pytestmark = pytest.mark.slow
 
 
 def test_all_paper_artifacts_registered():
@@ -21,8 +14,7 @@ def test_all_paper_artifacts_registered():
         "fig12"}
 
 
-@pytest.mark.parametrize("name", ["table4", "table5", "fig8a", "fig8b",
-                                  "fig9", "fig10", "fig11", "fig12"])
+@pytest.mark.parametrize("name", list(ARTIFACTS))
 def test_single_artifact_renders(name: str):
     text = regenerate([name])
     assert text.startswith("===")

@@ -89,17 +89,6 @@ def test_host_data_not_integrity_checked(memory: PhysicalMemory):
     memory.read(0x2000, 16, keyid=0)  # no exception: host path unchecked
 
 
-def test_integrity_can_be_disabled():
-    mem = PhysicalMemory(1024 * 1024)
-    mem.encryption_engine = MemoryEncryptionEngine(integrity_enabled=False)
-    mem.encryption_engine.program_key(5, b"k" * 32, from_ems=True)
-    mem.write(0x1000, b"B" * 64, keyid=5)
-    raw = bytearray(mem.read_raw(0x1000, 64))
-    raw[0] ^= 0xFF
-    mem.write_raw(0x1000, bytes(raw))
-    mem.read(0x1000, 64, keyid=5)  # garbage, but no violation raised
-
-
 def test_host_overwrite_drops_stale_enclave_macs(memory: PhysicalMemory):
     """A frame returned to the host must not trip old MACs for the host."""
     engine = memory.encryption_engine

@@ -40,17 +40,17 @@ class _NoSanitizer:
         pass
 
 
-def _memory(lazy: bool, integrity: bool = True) -> PhysicalMemory:
+def _memory(lazy: bool) -> PhysicalMemory:
     memory = PhysicalMemory(SIZE)
-    memory.encryption_engine = MemoryEncryptionEngine(integrity_enabled=integrity)
+    memory.encryption_engine = MemoryEncryptionEngine()
     if not lazy:
         memory.san = _NoSanitizer()
     return memory
 
 
-def _pair(integrity: bool = True) -> tuple[PhysicalMemory, PhysicalMemory]:
+def _pair() -> tuple[PhysicalMemory, PhysicalMemory]:
     """(lazy, eager) memories with KeyIDs 1 and 2 programmed alike."""
-    pair = _memory(True, integrity), _memory(False, integrity)
+    pair = _memory(True), _memory(False)
     for memory in pair:
         for keyid in (1, 2):
             memory.encryption_engine.program_key(keyid, bytes([keyid]) * 32,
@@ -79,7 +79,6 @@ def _line_macs(engine: MemoryEncryptionEngine) -> dict:
             for line, (keyid, mac_key, start, stored) in engine._macs.items()}
 
 
-@pytest.mark.parametrize("integrity", [True, False])
 @settings(max_examples=120, deadline=None)
 @given(ops=st.lists(
     st.tuples(
@@ -97,8 +96,8 @@ def _line_macs(engine: MemoryEncryptionEngine) -> dict:
               ("tamper", 1, 64, 0, 0, 1), ("load", 1, 64, 8, 1, 0)])
 @example(ops=[("zero", 2, 0, 0, 1, 0), ("reprogram", 0, 0, 0, 1, 0),
               ("load", 2, 100, 0, 1, 0)])  # an empty load inside a line
-def test_lazy_memory_matches_eager_memory_op_by_op(integrity, ops):
-    pair = _pair(integrity)
+def test_lazy_memory_matches_eager_memory_op_by_op(ops):
+    pair = _pair()
     generation = 0
     for kind, frame, offset, length, keyid, fill in ops:
         paddr = frame * PAGE_SIZE

@@ -4,7 +4,7 @@ The paper's architecture makes EMS-side management invisible to the CS;
 the model's instrumentation must inherit that property. These tests run
 the same workloads with tracing enabled and disabled and assert the
 modelled results are bit-identical: cycle counts, stats summaries, the
-Table VI attack outcomes, and the Fig. 8a bench output.
+Table VI attack outcomes, and the Fig. 8a rows.
 
 The same guarantee covers fault injection: a wired injector with an
 *empty* plan draws nothing and changes nothing (the chaos machinery is
@@ -19,7 +19,7 @@ from repro.common.types import Permission, Primitive
 from repro.core.api import HyperTEE
 from repro.core.config import SystemConfig
 from repro.core.enclave import EnclaveConfig
-from repro.eval.regenerate import fig8a, table4_rows
+from repro.eval.regenerate import fig8a_rows, table4_rows
 from repro.obs.cli import run_instrumented_scenario
 
 
@@ -137,9 +137,9 @@ def test_table6_attacks_identical_with_tracing_on():
 
 
 def test_fig8a_bench_unaffected_by_an_instrumented_run():
-    before = fig8a()
+    before = fig8a_rows()
     run_instrumented_scenario(seed=99)
-    assert fig8a() == before
+    assert fig8a_rows() == before
 
 
 def _batched_workload(tee: HyperTEE) -> dict:

@@ -1,8 +1,9 @@
 """The paper's headline claims, as plain tests.
 
-The bench suite regenerates every table and figure; this module distills
-the abstract's quantitative claims into fast assertions so a bare
-``pytest tests/`` also certifies the reproduction:
+``python -m repro`` regenerates every table and figure from the data
+functions in ``repro.eval.regenerate``; this module reads the same
+functions and distills the abstract's quantitative claims into fast
+assertions:
 
 * "less than 1% area overhead";
 * "2.0% and 1.9% performance overhead on average for enclaves and
@@ -18,12 +19,8 @@ import pytest
 from repro.attacks.harness import CHANNELS, default_factories, evaluate_tee
 from repro.common.types import AttackOutcome
 from repro.eval.area import table5_rows
-from repro.eval.scenarios import ENCLAVE_FULL, HOST_BITMAP
-from repro.workloads.dnn import MLP_MODELS, RESNET50, speedup
-from repro.workloads.nic import NICTransfer
-from repro.workloads.runner import host_baseline, run_workload
-from repro.workloads.rv8 import rv8_suite
-from repro.workloads.spec import spec_suite
+from repro.eval.regenerate import fig7_rows, fig10_rows, fig12_rows
+from repro.workloads.dnn import MLP_MODELS
 
 
 def test_area_claim_under_one_percent():
@@ -32,26 +29,25 @@ def test_area_claim_under_one_percent():
 
 
 def test_enclave_overhead_claim_two_percent():
-    """Abstract: '2.0% performance overhead on average for enclaves'."""
-    overheads = [run_workload(p, ENCLAVE_FULL).overhead_vs(host_baseline(p))
-                 for p in rv8_suite()]
-    average = sum(overheads) / len(overheads)
+    """Abstract: '2.0% performance overhead on average for enclaves'
+    (Fig. 7, medium EMS)."""
+    average = fig7_rows()["average"]["medium"]
     assert average * 100 == pytest.approx(2.0, abs=0.3)
 
 
 def test_nonenclave_overhead_claim_1_9_percent():
-    """Abstract: '1.9% ... for non-enclave workloads' (bitmap checking)."""
-    overheads = [run_workload(p, HOST_BITMAP).overhead_vs(host_baseline(p))
-                 for p in spec_suite()]
-    average = sum(overheads) / len(overheads)
+    """Abstract: '1.9% ... for non-enclave workloads' (Fig. 10, bitmap
+    checking)."""
+    average = fig10_rows()["average"]
     assert average * 100 == pytest.approx(1.9, abs=0.2)
 
 
 def test_communication_speedup_claims():
-    """Section VII-D: >4.0x ResNet50, >27.7x MLPs, ~50x NIC."""
-    assert speedup(RESNET50) > 4.0
-    assert all(speedup(m) > 27.7 for m in MLP_MODELS)
-    assert NICTransfer(1e8).speedup() == pytest.approx(50.0, abs=1.0)
+    """Section VII-D: >4.0x ResNet50, >27.7x MLPs, ~50x NIC (Fig. 12)."""
+    rows = fig12_rows()
+    assert rows["resnet50"]["speedup"] > 4.0
+    assert all(rows[m.name]["speedup"] > 27.7 for m in MLP_MODELS)
+    assert rows["nic-stream"]["speedup"] == pytest.approx(50.0, abs=1.0)
 
 
 def test_hypertee_defends_where_sgx_leaks():

@@ -107,3 +107,29 @@ def test_measured_overhead_matches_analytic_formula():
     predicted = predicted_extra / base_per_access
     assert overhead == pytest.approx(predicted, rel=0.05)
     assert overhead > 0
+
+
+def test_analytic_formula_holds_across_locality_regimes():
+    """Model validation: the Fig. 10 formula at the measured TLB miss
+    rate agrees with replayed traces within 8%, from sequential through
+    hotspot to random locality."""
+    from repro.eval.calibration import BITMAP_SERIAL_CYCLES
+
+    footprint = 200 * PAGE_SIZE
+    regimes = {
+        "sequential": lambda: sequential_trace(BASE, footprint, passes=1),
+        "hotspot": lambda: hotspot_trace(BASE, footprint, accesses=3000,
+                                         seed=2),
+        "random": lambda: random_trace(BASE, footprint, accesses=3000,
+                                       seed=2),
+    }
+    miss_rates = {}
+    for name, factory in regimes.items():
+        measured, stats = measure_bitmap_overhead(
+            make_system(True), make_system(False), factory, BASE, footprint)
+        extra = stats.tlb_miss_rate * BITMAP_SERIAL_CYCLES
+        predicted = extra / (stats.avg_cycles_per_access - extra)
+        assert measured == pytest.approx(predicted, rel=0.08), name
+        miss_rates[name] = stats.tlb_miss_rate
+    assert (miss_rates["sequential"] < miss_rates["hotspot"]
+            < miss_rates["random"])
