@@ -46,7 +46,8 @@ def main() -> None:
         print("touched an unmapped heap page; the EMS demand-allocated it")
 
         # The host's view of the same physical frame is ciphertext.
-        control = tee.system.enclaves.enclaves[enclave.enclave_id]
+        control = tee.system.enclaves_of(enclave.enclave_id).get(
+            enclave.enclave_id)
         frame = control.page_table.lookup(vaddr >> PAGE_SHIFT).ppn
         raw = tee.system.memory.read_raw(frame << PAGE_SHIFT, 20)
         print(f"host raw view of that frame: {raw.hex()[:40]}… (ciphertext)")

@@ -54,7 +54,9 @@ def main() -> None:
         driver.grant_device(region, "gemmini", Permission.RW)
         print("driver attached and whitelisted the Gemmini DMA engine")
 
-    control = system.shm.regions[region.shm_id]
+    # Region IDs are per EMS shard: look the region up on its owner's.
+    owner_shard = system.shard_pool.shard_of(region.owner.enclave_id)
+    control = owner_shard.shm.regions[region.shm_id]
     gemmini_dma = DMAEngine("gemmini", system.ihub, system.memory)
     accelerator = GemminiAccelerator(gemmini_dma)
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 
+#: Frames reserved at the bottom of CS memory for EMCall firmware.
+FIRMWARE_FRAMES = 16
+
 #: Physical address width (low bits of the 56-bit front-side bus).
 PHYS_ADDR_BITS = 40
 

@@ -22,9 +22,18 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.common.constants import POOL_INITIAL_PAGES
+from repro.common.constants import FIRMWARE_FRAMES, PAGE_SIZE, POOL_INITIAL_PAGES
 from repro.errors import ConfigurationError
 from repro.hw.core import EMS_CONFIGS
+
+
+def os_frames(cs_memory_mb: int, ems_memory_mb: int) -> range:
+    """The CS frames the OS owns at boot: CS memory less the EMCall
+    firmware and then the enclave bitmap (a bit per frame) at its bottom."""
+    frames = ((cs_memory_mb + ems_memory_mb) << 20) // PAGE_SIZE
+    bitmap_frames = -(-frames // (8 * PAGE_SIZE))
+    return range(FIRMWARE_FRAMES + bitmap_frames,
+                 (cs_memory_mb << 20) // PAGE_SIZE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,3 +65,15 @@ class SystemConfig:
         if self.ems_shards < 1:
             raise ConfigurationError(
                 f"ems_shards must be >= 1, got {self.ems_shards}")
+        if self.pool_initial_pages < 0:
+            raise ConfigurationError("pool_initial_pages must be >= 0")
+        # Boot hands each shard's pool its initial frames from the CS OS.
+        needed = self.ems_shards * self.pool_initial_pages
+        smallest = max(self.cs_memory_mb, needed * PAGE_SIZE >> 20)
+        while len(os_frames(smallest, self.ems_memory_mb)) < needed:
+            smallest += 1
+        if smallest > self.cs_memory_mb:
+            raise ConfigurationError(
+                f"cs_memory_mb={self.cs_memory_mb} cannot hold {self.ems_shards}"
+                f" EMS pools of {self.pool_initial_pages} pages; the smallest "
+                f"cs_memory_mb that boots is {smallest}")

@@ -16,11 +16,11 @@
 7. the EMCall firmware: one gate per shard, each holding the only
    CS-side port of its shard's mailbox.
 
-The paper's platform is the one-shard case: a pool of one, whose
-components are the single-EMS names (``mailbox``, ``pool``, ``ems``, ...)
-and whose gate is the platform's ``emcall``. More shards put a
+The paper's platform is the one-shard case: a pool of one, whose gate
+is the platform's ``emcall``. More shards put a
 :class:`~repro.cs.emcall.ShardedEMCall` router in front of the gates
-(docs/scale_out.md).
+(docs/scale_out.md). EMS state is reached only through ``shard_pool``,
+on any shard count.
 
 Everything downstream (SDK, examples, evaluation, attacks) builds a system
 through this class.
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.common.constants import PAGE_SHIFT, PAGE_SIZE
+from repro.common.constants import FIRMWARE_FRAMES, PAGE_SIZE
 from repro.common.rng import DeterministicRng
-from repro.core.config import SystemConfig
+from repro.core.config import SystemConfig, os_frames
 from repro.crypto.engine import ENGINE_CRYPTO, SOFTWARE_CRYPTO, CryptoEngine
 from repro.cs.cpu import CSCore
 from repro.cs.emcall import EMCall, ShardedEMCall
@@ -57,9 +57,6 @@ from repro.hw.fabric import AddressPartition, IHub
 from repro.hw.iommu import IOMMU
 from repro.hw.mailbox import Mailbox
 from repro.hw.memory import PhysicalMemory
-
-#: Frames reserved at the bottom of CS memory for EMCall firmware.
-FIRMWARE_FRAMES = 16
 
 #: Stand-in software images for the boot chain.
 _RUNTIME_IMAGE = b"ems-runtime-rust-image-v1" * 64
@@ -87,8 +84,6 @@ class HyperTEESystem:
         # -- enclave bitmap in protected CS memory -----------------------------
         bitmap_base = FIRMWARE_FRAMES * PAGE_SIZE
         self.bitmap = EnclaveBitmap(self.memory, bitmap_base)
-        bitmap_frames = (self.bitmap.size_bytes + PAGE_SIZE - 1) // PAGE_SIZE
-        first_free = FIRMWARE_FRAMES + bitmap_frames
 
         # -- manufacturing + secure boot -----------------------------------------
         self.efuse = EFuse()
@@ -103,9 +98,9 @@ class HyperTEESystem:
             self.efuse, self.flash, self.eeprom)
 
         # -- CS side ------------------------------------------------------------------
+        frames = os_frames(cfg.cs_memory_mb, cfg.ems_memory_mb)
         self.os = CSOperatingSystem(
-            self.memory, first_free_frame=first_free,
-            frame_limit=cs_bytes >> PAGE_SHIFT)
+            self.memory, first_free_frame=frames.start, frame_limit=frames.stop)
         reader = BitmapReader(self.bitmap) if cfg.bitmap_checking else None
         self.cores = [CSCore(i, self.memory, self.ihub, reader, CS_CORE)
                       for i in range(cfg.cs_cores)]
@@ -116,17 +111,6 @@ class HyperTEESystem:
         self.keys = KeyManager(self.efuse, self.engine, self.rng)
         self.iommu = IOMMU()
         shards = [self._build_shard(index) for index in range(cfg.ems_shards)]
-        # Shard 0 is the paper's EMS: the single-EMS names are its parts.
-        primary = shards[0]
-        self.mailbox = primary.mailbox
-        self.pool = primary.pool
-        self.ownership = primary.ownership
-        self.enclaves = primary.enclaves
-        self.pages = primary.pages
-        self.swap = primary.swap
-        self.shm = primary.shm
-        self.attestation = primary.attestation
-        self.ems = primary.runtime
         self.sealing = SealingService(self.keys, self.rng)
         #: The shard fleet coordinator (docs/scale_out.md); a pool of one
         #: on the paper's single-EMS platform.
@@ -138,8 +122,10 @@ class HyperTEESystem:
         from repro.ems.cfi import CFIMonitor
         from repro.ems.monitor import InterruptAnomalyDetector
 
-        self.cvm = CVMManager(self.enclaves, self.keys, self.attestation,
-                              self.memory, self.crypto, self.rng)
+        # CVMs live on shard 0 (docs/scale_out.md gives the reasons).
+        self.cvm = CVMManager(shards[0].enclaves, self.keys,
+                              shards[0].attestation, self.memory,
+                              self.crypto, self.rng)
 
         self.cfi = CFIMonitor(self.enclaves_of)
         self.interrupt_monitor = InterruptAnomalyDetector(self.enclaves_of)
@@ -341,22 +327,16 @@ class HyperTEESystem:
     def primary_core(self) -> CSCore:
         return self.cores[0]
 
-    @property
-    def ems_runtimes(self) -> list[EMSRuntime]:
-        """Every EMS runtime on the platform (one per shard)."""
-        return [shard.runtime for shard in self.shard_pool.shards]
-
     def enclaves_of(self, enclave_id: int) -> EnclaveManager:
         """The enclave manager of the EMS shard that holds ``enclave_id``.
 
-        ``self.enclaves`` is shard 0's; an enclave on another shard has
-        its control block only there.
+        The control block lives only on that shard's manager.
         """
         return self.shard_pool.shard_of(enclave_id).enclaves
 
     def ems_requests_served(self) -> int:
         """Fleet-wide served-request count (shard-aware ``stats.served``)."""
-        return sum(runtime.stats.served for runtime in self.ems_runtimes)
+        return sum(s.runtime.stats.served for s in self.shard_pool.shards)
 
     def stats_summary(self) -> dict[str, dict]:
         """Aggregate counters from every subsystem, for diagnostics.

@@ -19,7 +19,7 @@ def render_table(title: str, headers: Sequence[str],
             widths[i] = max(widths[i], len(cell))
 
     def fmt(cells: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
+        return "  ".join(map(str.ljust, cells, widths)).rstrip()
 
     lines = [f"=== {title} ===", fmt(list(headers)),
              fmt(["-" * w for w in widths])]

@@ -95,6 +95,13 @@ class ServeConfig:
             if name not in SANITIZERS:
                 raise ValueError(
                     f"sanitize must name only {SANITIZERS}, got {name!r}")
+        self.system_config()  # rejects a platform that cannot boot
+
+    def system_config(self) -> SystemConfig:
+        """The platform the run drives: one CS core per worker, since an
+        entered enclave pins its core."""
+        return SystemConfig(seed=self.seed, ems_shards=self.shards,
+                            cs_cores=self.workers)
 
 
 class _Worker:
@@ -115,11 +122,7 @@ class _Worker:
 
 
 def _build_platform(cfg: ServeConfig) -> HyperTEE:
-    # One CS core per worker: each worker holds its own enclave context
-    # (entered enclaves pin the core's privilege/context registers, so
-    # two workers sharing a core would nest their EENTERs).
-    tee = HyperTEE(SystemConfig(seed=cfg.seed, ems_shards=cfg.shards,
-                                cs_cores=cfg.workers))
+    tee = HyperTEE(cfg.system_config())
     tee.system.enable_observability()
     if cfg.sanitize:
         tee.system.enable_sanitizers(cfg.sanitize)

@@ -192,6 +192,7 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json as _json
 
+    from repro.errors import ConfigurationError
     from repro.eval.serve import ServeConfig, render_report, run_serve
 
     from repro.sanitize.manager import parse_sanitizer_list
@@ -202,7 +203,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                           transfer_every=args.transfer_every,
                           chaos=args.chaos,
                           sanitize=parse_sanitizer_list(args.sanitize))
-    except ValueError as exc:
+    except (ValueError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = run_serve(cfg)

@@ -24,15 +24,16 @@ LIGHT_PAGES, HEAVY_PAGES = 1, 48
 def make_platform(tenants: int) -> tuple[HyperTEESystem, int, list[int]]:
     """A platform with one victim enclave and ``tenants`` co-tenants."""
     sys_ = HyperTEESystem(SystemConfig(cs_memory_mb=96, ems_memory_mb=4))
+    enclaves = sys_.shard_pool.shards[0].enclaves
 
     def launch(name: str) -> int:
-        result, _, _ = sys_.enclaves.ecreate(
+        result, _, _ = enclaves.ecreate(
             EnclaveConfig(name=name, heap_pages_max=16384))
         enclave_id = result["enclave_id"]
-        sys_.enclaves.eadd(enclave_id, name.encode())
-        sys_.enclaves.emeas(enclave_id)
-        sys_.enclaves.eenter(enclave_id)
-        sys_.enclaves.eexit(enclave_id)
+        enclaves.eadd(enclave_id, name.encode())
+        enclaves.emeas(enclave_id)
+        enclaves.eenter(enclave_id)
+        enclaves.eexit(enclave_id)
         return enclave_id
 
     victim = launch("victim")
@@ -43,21 +44,22 @@ def make_platform(tenants: int) -> tuple[HyperTEESystem, int, list[int]]:
 def observe_windows(secret: list[int], tenants: int) -> list[int]:
     """One fabric-window reading per secret bit."""
     sys_, victim, others = make_platform(tenants)
+    ems = sys_.shard_pool.shards[0]
     request_id = iter(range(10_000, 100_000))
     rng = sys_.rng.stream("fabric-test")
     windows = []
     for bit in secret:
         sys_.ihub.probe.window()  # reset
         pages = HEAVY_PAGES if bit else LIGHT_PAGES
-        sys_.mailbox.push_request(PrimitiveRequest(
+        ems.mailbox.push_request(PrimitiveRequest(
             next(request_id), Primitive.EALLOC, victim,
             Privilege.USER, {"pages": pages, "perm": Permission.RW}))
         for tenant in others:
-            sys_.mailbox.push_request(PrimitiveRequest(
+            ems.mailbox.push_request(PrimitiveRequest(
                 next(request_id), Primitive.EALLOC, tenant,
                 Privilege.USER, {"pages": rng.randint(1, 128),
                                  "perm": Permission.RW}))
-        sys_.ems.pump()  # all requests served in one round: traffic mixes
+        ems.runtime.pump()  # all requests served in one round: traffic mixes
         windows.append(sys_.ihub.probe.window())
     return windows
 

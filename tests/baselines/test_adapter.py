@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.hypertee_adapter import HyperTEEAdapter
+from repro.core.api import HyperTEE
+from repro.core.config import SystemConfig
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +18,8 @@ def adapter() -> HyperTEEAdapter:
 def test_victim_runs_real_enclave(adapter: HyperTEEAdapter):
     victim = adapter.new_victim(heap_pages=8)
     adapter.victim_touch(victim, 3)
-    control = adapter.tee.system.enclaves.enclaves[victim.enclave.enclave_id]
+    enclave_id = victim.enclave.enclave_id
+    control = adapter.tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
     # The touch demand-faulted a real page into the dedicated table.
     from repro.core.enclave import HEAP_BASE_VPN
 
@@ -61,8 +64,6 @@ def test_comm_attack_reads_the_owners_shard(shards: int):
     """Shared-memory region IDs are per shard: with three padding
     enclaves launched first, the owner lands off shard 0 on 4 shards,
     and the attack must still find its region there."""
-    from repro.core.api import HyperTEE
-    from repro.core.config import SystemConfig
     from repro.core.enclave import EnclaveConfig
 
     tee = HyperTEE(SystemConfig(ems_shards=shards, cs_memory_mb=96))
@@ -70,3 +71,23 @@ def test_comm_attack_reads_the_owners_shard(shards: int):
         tee.launch_enclave(b"pad%d" % i, EnclaveConfig(name=f"p{i}"))
     surface = HyperTEEAdapter(tee).comm_attack_surface()
     assert surface and not any(surface.values()), surface
+
+
+class TestOnFourShards:
+    """The ``adapter`` tests above, on four EMS shards: the class's
+    victims are minted IDs 1-5, homed on shards 0, 3, 3, 1 and 1."""
+
+    @pytest.fixture(scope="class")
+    def adapter(self) -> HyperTEEAdapter:
+        return HyperTEEAdapter(
+            HyperTEE(SystemConfig(cs_memory_mb=96, ems_shards=4)))
+
+    test_victim_runs_real_enclave = staticmethod(
+        test_victim_runs_real_enclave)
+    test_victim_touch_bounds = staticmethod(test_victim_touch_bounds)
+    test_allocation_log_holds_only_bulk_pool_entries = staticmethod(
+        test_allocation_log_holds_only_bulk_pool_entries)
+    test_pte_reads_return_nothing = staticmethod(
+        test_pte_reads_return_nothing)
+    test_swap_untargetable_but_functional = staticmethod(
+        test_swap_untargetable_but_functional)

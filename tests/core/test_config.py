@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.enclave import EnclaveConfig
+from repro.core.system import HyperTEESystem
 from repro.errors import ConfigurationError
 
 
@@ -20,6 +21,27 @@ def test_invalid_memory():
         SystemConfig(cs_memory_mb=1)
     with pytest.raises(ConfigurationError):
         SystemConfig(ems_memory_mb=0)
+
+
+@pytest.mark.parametrize("config, smallest", [
+    ({"cs_memory_mb": 4}, 5),
+    ({"cs_memory_mb": 16, "ems_shards": 4}, 17),
+    ({"ems_shards": 16}, 65),
+])
+def test_memory_must_hold_every_shards_pool(config: dict, smallest: int):
+    """Each shard's pool takes its initial frames from CS memory at boot,
+    after the firmware frames and the bitmap. A config that cannot hold
+    them is rejected, naming the smallest ``cs_memory_mb`` that boots,
+    and that size does boot."""
+    with pytest.raises(ConfigurationError,
+                       match=f"smallest cs_memory_mb that boots is {smallest}$"):
+        SystemConfig(**config)
+    HyperTEESystem(SystemConfig(**{**config, "cs_memory_mb": smallest}))
+
+
+def test_negative_pool_pages_rejected():
+    with pytest.raises(ConfigurationError):
+        SystemConfig(pool_initial_pages=-1)
 
 
 def test_invalid_cores():

@@ -15,15 +15,16 @@ from repro.core.system import HyperTEESystem
 def test_per_core_accounting_spreads_work():
     sys_ = HyperTEESystem(SystemConfig(cs_memory_mb=64, ems_memory_mb=4,
                                        ems_cores=2))
+    ems = sys_.shard_pool.shards[0]
     for i in range(8):
-        sys_.mailbox.push_request(PrimitiveRequest(
+        ems.mailbox.push_request(PrimitiveRequest(
             500 + i, Primitive.ECREATE, None, Privilege.SUPERVISOR,
             {"config": EnclaveConfig(name=f"e{i}")}))
-    sys_.ems.pump()
-    cycles = sys_.ems.stats.per_core_cycles
+    ems.runtime.pump()
+    cycles = ems.runtime.stats.per_core_cycles
     assert len(cycles) == 2
     assert all(c > 0 for c in cycles)
-    utilization = sys_.ems.stats.utilization()
+    utilization = ems.runtime.stats.utilization()
     assert sum(utilization) == pytest.approx(1.0)
     # Round-robin keeps the split roughly balanced.
     assert 0.3 < utilization[0] < 0.7
@@ -32,7 +33,8 @@ def test_per_core_accounting_spreads_work():
 def test_utilization_of_idle_runtime():
     sys_ = HyperTEESystem(SystemConfig(cs_memory_mb=48, ems_memory_mb=4,
                                        ems_cores=2))
-    assert sys_.ems.stats.utilization() == [0.0, 0.0]
+    runtime = sys_.shard_pool.shards[0].runtime
+    assert runtime.stats.utilization() == [0.0, 0.0]
 
 
 def test_stats_summary_structure():
@@ -87,12 +89,13 @@ def test_stats_summary_matches_legacy_dataclasses():
     """The registry federates the live *Stats; it must not fork them."""
     tee = _exercised_tee()
     sys_ = tee.system
+    ems = sys_.shard_pool.shards[0]
     summary = sys_.stats_summary()
-    assert summary["mailbox"]["requests_sent"] == sys_.mailbox.stats.requests_sent
+    assert summary["mailbox"]["requests_sent"] == ems.mailbox.stats.requests_sent
     assert summary["mailbox"]["response_rejects"] == \
-        sys_.mailbox.stats.response_rejects
-    assert summary["ems"]["served"] == sys_.ems.stats.served
-    assert summary["pool"]["takes"] == sys_.pool.stats.takes
+        ems.mailbox.stats.response_rejects
+    assert summary["ems"]["served"] == ems.runtime.stats.served
+    assert summary["pool"]["takes"] == ems.pool.stats.takes
     assert summary["emcall"]["bitmap_flushes"] == \
         sys_.emcall.bitmap_flush_count
     # A later snapshot reflects new traffic without re-registration.

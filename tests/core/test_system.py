@@ -8,8 +8,9 @@ from repro.core.system import HyperTEESystem
 
 def test_boot_produces_platform_measurement(system: HyperTEESystem):
     assert len(system.boot_report.platform_measurement) == 32
-    assert (system.attestation.platform_measurement
-            == system.boot_report.platform_measurement)
+    for shard in system.shard_pool.shards:
+        assert (shard.attestation.platform_measurement
+                == system.boot_report.platform_measurement)
 
 
 def test_partition_covers_memory(system: HyperTEESystem):

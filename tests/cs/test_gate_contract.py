@@ -118,7 +118,7 @@ def test_clean_call_sends_one_packet_each_way_and_draws_jitter_once(width):
     system = tee.system
     enclave = tee.launch_enclave(b"clean-call")
     enclave.enter()
-    mailbox, rng = system.mailbox, system.rng
+    mailbox, rng = system.shard_pool.shards[0].mailbox, system.rng
     counts: collections.Counter = collections.Counter()
     _counting(mailbox, "fetch_requests", counts)
     _counting(mailbox, "push_response", counts)

@@ -32,7 +32,8 @@ def test_page_faults_route_to_ems(rig):
     assert route == "ems"
     # The enclave keeps running — the fault is serviced, not delivered
     # to the untrusted OS.
-    control = tee.system.enclaves.enclaves[enclave.enclave_id]
+    enclave_id = enclave.enclave_id
+    control = tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
     assert control.state is EnclaveState.RUNNING
 
 
@@ -41,7 +42,8 @@ def test_timer_suspends_enclave_then_routes_to_os(rig):
     enclave.enter()
     route = tee.system.emcall.handle_interrupt(enclave.core, "timer")
     assert route == "cs"
-    control = tee.system.enclaves.enclaves[enclave.enclave_id]
+    enclave_id = enclave.enclave_id
+    control = tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
     assert control.state is EnclaveState.SUSPENDED
     assert not enclave.core.in_enclave  # host context restored atomically
 

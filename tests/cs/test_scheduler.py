@@ -109,7 +109,8 @@ def test_hosts_cannot_see_enclave_data_between_slices(tee: HyperTEE):
     leaks: list = []
 
     def spy(core) -> bool:
-        control = tee.system.enclaves.enclaves[enclave.enclave_id]
+        enclave_id = enclave.enclave_id
+        control = tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
         if state["vaddr"] is not None:
             frame = control.page_table.lookup(state["vaddr"] >> 12)
             if frame is not None:

@@ -24,6 +24,12 @@ def app(tee: HyperTEE) -> HostApp:
     return app
 
 
+def _control(app: HostApp):
+    """The app's enclave control block, on the shard that holds it."""
+    enclave_id = app.enclave.enclave_id
+    return app.tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
+
+
 def test_launch_requires_buffer_declaration(tee: HyperTEE):
     app = HostApp(tee, "hostapp")
     with pytest.raises(ConfigurationError):
@@ -47,7 +53,7 @@ def test_buffer_is_plaintext_shared(app: HostApp):
     confidentiality of its contents comes from application-level
     encryption (remote users send ciphertext), not the hardware."""
     app.write_buffer(0, b"visible to both")
-    control = app.tee.system.enclaves.enclaves[app.enclave.enclave_id]
+    control = _control(app)
     frame = control.host_shared_frames[0]
     raw = app.tee.system.memory.read_raw(frame * 4096, 15)
     assert raw == b"visible to both"
@@ -81,7 +87,7 @@ def test_buffer_bounds(app: HostApp):
 
 
 def test_buffer_not_bitmap_marked(app: HostApp):
-    control = app.tee.system.enclaves.enclaves[app.enclave.enclave_id]
+    control = _control(app)
     for frame in control.host_shared_frames:
         assert not app.tee.system.bitmap.is_enclave(frame)
 
@@ -91,13 +97,13 @@ def test_enclave_private_memory_still_private(app: HostApp):
     with app.enclave.running():
         vaddr = app.enclave.ealloc(1)
         app.enclave.write(vaddr, b"still secret")
-        control = app.tee.system.enclaves.enclaves[app.enclave.enclave_id]
+        control = _control(app)
         frame = control.page_table.lookup(vaddr >> 12).ppn
     assert app.tee.system.memory.read_raw(frame * 4096, 12) != b"still secret"
 
 
 def test_destroy_releases_buffer_frames(app: HostApp):
-    control = app.tee.system.enclaves.enclaves[app.enclave.enclave_id]
+    control = _control(app)
     frames = list(control.host_shared_frames)
     free_before = app.tee.system.os.free_frame_count()
     app.enclave.destroy()
@@ -113,3 +119,36 @@ def test_two_hostapps_have_separate_buffers(tee: HyperTEE):
     b.write_buffer(0, b"for-b")
     assert a.read_buffer(0, 5) == b"for-a"
     assert b.read_buffer(0, 5) == b"for-b"
+
+
+class TestOnFourShards:
+    """The ``tee`` and ``app`` tests above, on four EMS shards.
+
+    One enclave is launched first, so the enclave under test is minted
+    ID 2, whose home is shard 3: every control-block read has to go
+    through the shard that holds it.
+    """
+
+    @pytest.fixture
+    def tee(self) -> HyperTEE:
+        tee = HyperTEE(SystemConfig(ems_shards=4))
+        tee.launch_enclave(b"padding", EnclaveConfig(name="pad"))
+        return tee
+
+    test_launch_requires_buffer_declaration = staticmethod(
+        test_launch_requires_buffer_declaration)
+    test_host_to_enclave_transfer = staticmethod(
+        test_host_to_enclave_transfer)
+    test_enclave_to_host_transfer = staticmethod(
+        test_enclave_to_host_transfer)
+    test_buffer_is_plaintext_shared = staticmethod(
+        test_buffer_is_plaintext_shared)
+    test_buffer_bounds = staticmethod(test_buffer_bounds)
+    test_buffer_not_bitmap_marked = staticmethod(
+        test_buffer_not_bitmap_marked)
+    test_enclave_private_memory_still_private = staticmethod(
+        test_enclave_private_memory_still_private)
+    test_destroy_releases_buffer_frames = staticmethod(
+        test_destroy_releases_buffer_frames)
+    test_two_hostapps_have_separate_buffers = staticmethod(
+        test_two_hostapps_have_separate_buffers)

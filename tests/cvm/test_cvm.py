@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import pytest
 
 from repro.common.constants import PAGE_SIZE
+from repro.core.api import HyperTEE
 from repro.core.config import SystemConfig
+from repro.core.enclave import EnclaveConfig
 from repro.core.system import HyperTEESystem
 from repro.common.rng import DeterministicRng
 from repro.cvm.image import VMOwner
@@ -137,9 +140,10 @@ def test_destroy_reclaims(sys_: HyperTEESystem, owner: VMOwner):
     control = sys_.cvm.cvms[cvm_id]
     frames = list(control.guest_pages.values())
     keyid = control.keyid
-    free_before = sys_.pool.free_count
+    pool = sys_.shard_pool.shards[0].pool  # CVMs live on shard 0
+    free_before = pool.free_count
     sys_.cvm.cvm_destroy(cvm_id)
-    assert sys_.pool.free_count >= free_before + len(frames)
+    assert pool.free_count >= free_before + len(frames)
     assert not sys_.engine.has_key(keyid)
     with pytest.raises(SanityCheckError):
         sys_.cvm.guest_read(cvm_id, 0, 4)
@@ -155,3 +159,66 @@ def test_wrong_measurement_image_refused(sys_: HyperTEESystem,
                                 ems_public, cert)
     with pytest.raises(AttestationError):
         sys_.cvm.cvm_create(tampered, wrapped, pub)
+
+
+def test_cvm_frames_come_from_shard_zero_of_four(owner: VMOwner):
+    """CVMs live on shard 0, whatever the shard count.
+
+    With enclaves resident on all four shards, a CVM takes its frames
+    from shard 0's pool only, no frame is owned in two shards' tables,
+    and destroying the CVM restores every pool's counts.
+    """
+    tee = HyperTEE(SystemConfig(cs_memory_mb=64, ems_memory_mb=4,
+                                ems_shards=4))
+    system = tee.system
+    shards = system.shard_pool.shards
+    tenants = [tee.launch_enclave(b"tenant %d" % i, EnclaveConfig(name=f"t{i}"))
+               for i in range(6)]
+    assert {system.shard_pool.resolve(tenant.enclave_id)
+            for tenant in tenants} == {0, 1, 2, 3}
+
+    def counts() -> list[tuple[int, int]]:
+        return [(shard.pool.used_count, shard.pool.free_count)
+                for shard in shards]
+
+    before = counts()
+    cvm_id = deploy(system, owner)
+    frames = set(system.cvm.cvms[cvm_id].guest_pages.values())
+    used = [after[0] - start[0] for after, start in zip(counts(), before)]
+    assert used == [len(frames), 0, 0, 0]
+    assert all(shards[0].ownership.owner_of(frame) is not None
+               for frame in frames)
+    owned = collections.Counter(frame for shard in shards
+                                for frame in shard.ownership._owners)
+    assert max(owned.values()) == 1
+
+    system.cvm.cvm_destroy(cvm_id)
+    assert counts() == before
+
+
+class TestOnFourShards:
+    """The ``sys_`` tests above, on four EMS shards."""
+
+    @pytest.fixture
+    def sys_(self) -> HyperTEESystem:
+        return HyperTEESystem(SystemConfig(cs_memory_mb=64, ems_memory_mb=4,
+                                           ems_shards=4))
+
+    test_owner_refuses_unattested_platform = staticmethod(
+        test_owner_refuses_unattested_platform)
+    test_deploy_and_guest_memory = staticmethod(test_deploy_and_guest_memory)
+    test_guest_memory_is_ciphertext_to_host = staticmethod(
+        test_guest_memory_is_ciphertext_to_host)
+    test_guest_access_bounds = staticmethod(test_guest_access_bounds)
+    test_guest_alloc_grows_memory = staticmethod(
+        test_guest_alloc_grows_memory)
+    test_cvm_shared_memory = staticmethod(test_cvm_shared_memory)
+    test_snapshot_restore_roundtrip = staticmethod(
+        test_snapshot_restore_roundtrip)
+    test_snapshot_pages_are_ciphertext = staticmethod(
+        test_snapshot_pages_are_ciphertext)
+    test_tampered_snapshot_refused = staticmethod(
+        test_tampered_snapshot_refused)
+    test_destroy_reclaims = staticmethod(test_destroy_reclaims)
+    test_wrong_measurement_image_refused = staticmethod(
+        test_wrong_measurement_image_refused)

@@ -101,16 +101,17 @@ def test_shared_frames_reclaimed_with_last_participant(sys_, owner):
     region_frames = [sys_.cvm.cvms[a].guest_pages[gpn_a + i]
                      for i in range(2)]
 
-    free_before = sys_.pool.free_count
+    cvm_shard = sys_.shard_pool.shards[0]  # CVMs live on shard 0
+    free_before = cvm_shard.pool.free_count
     sys_.cvm.cvm_destroy(a)
     # First destruction: region intact, still usable by b.
     assert sys_.cvm.shared_read(b, gpn_b, 8) == b"cross-vm"
-    assert sys_.ownership.owner_of(region_frames[0]) is not None
+    assert cvm_shard.ownership.owner_of(region_frames[0]) is not None
 
     sys_.cvm.cvm_destroy(b)
     # Last destruction: region reclaimed and zeroed.
-    assert sys_.ownership.owner_of(region_frames[0]) is None
-    assert sys_.pool.free_count > free_before
+    assert cvm_shard.ownership.owner_of(region_frames[0]) is None
+    assert cvm_shard.pool.free_count > free_before
     for frame in region_frames:
         assert sys_.memory.read_raw(frame * 4096, 64) == bytes(64)
 
@@ -142,3 +143,30 @@ def test_migrate_then_snapshot_on_destination(owner):
     snapshot = dest.cvm.snapshot(new_id)
     restored = dest.cvm.restore(snapshot)
     assert dest.cvm.guest_read(restored, 0x100, 9) == b"roundtrip"
+
+
+class TestOnFourShards:
+    """The ``sys_`` tests above, on four EMS shards."""
+
+    @pytest.fixture
+    def sys_(self) -> HyperTEESystem:
+        return HyperTEESystem(SystemConfig(cs_memory_mb=64, ems_memory_mb=4,
+                                           ems_shards=4))
+
+    test_release_key_requires_challenge = staticmethod(
+        test_release_key_requires_challenge)
+    test_tampered_wrapped_key_rejected = staticmethod(
+        test_tampered_wrapped_key_rejected)
+    test_create_without_exchange_rejected = staticmethod(
+        test_create_without_exchange_rejected)
+    test_guest_write_cross_page_rejected = staticmethod(
+        test_guest_write_cross_page_rejected)
+    test_share_with_destroyed_cvm_rejected = staticmethod(
+        test_share_with_destroyed_cvm_rejected)
+    test_snapshot_includes_shared_pages = staticmethod(
+        test_snapshot_includes_shared_pages)
+    test_shared_frames_reclaimed_with_last_participant = staticmethod(
+        test_shared_frames_reclaimed_with_last_participant)
+    test_double_destroy_rejected = staticmethod(test_double_destroy_rejected)
+    test_restore_foreign_snapshot_without_secrets = staticmethod(
+        test_restore_foreign_snapshot_without_secrets)

@@ -19,10 +19,10 @@ def tee() -> HyperTEE:
 
 
 def test_quote_requires_measured_enclave(tee: HyperTEE):
-    sys_ = tee.system
-    result, _, _ = sys_.enclaves.ecreate(EnclaveConfig())
+    shard = tee.system.shard_pool.shards[0]
+    result, _, _ = shard.enclaves.ecreate(EnclaveConfig())
     with pytest.raises(SanityCheckError):
-        sys_.attestation.eattest(result["enclave_id"])
+        shard.attestation.eattest(result["enclave_id"])
 
 
 def test_quote_verifies_against_ca(tee: HyperTEE):

@@ -40,7 +40,8 @@ def test_rop_style_edge_terminates(rig):
     violations = cfi.scan(enclave.enclave_id)
     assert violations == [(0x200, 0xDEAD)]
     assert cfi.is_terminated(enclave.enclave_id)
-    control = tee.system.enclaves.enclaves[enclave.enclave_id]
+    enclave_id = enclave.enclave_id
+    control = tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
     assert control.state is EnclaveState.DESTROYED
 
 
@@ -60,7 +61,8 @@ def test_running_enclave_terminated_cleanly():
     enclave.enter()
     tee.system.cfi.record_transfer(enclave.enclave_id, 0x1, 0x2)
     tee.system.cfi.scan(enclave.enclave_id)
-    control = tee.system.enclaves.enclaves[enclave.enclave_id]
+    enclave_id = enclave.enclave_id
+    control = tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
     assert control.state is EnclaveState.DESTROYED
 
 

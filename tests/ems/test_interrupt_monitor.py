@@ -43,7 +43,8 @@ def test_single_stepping_rate_flagged(rig):
     for cycle in cycles_at_hz(100_000, 64):
         flagged = monitor.observe(enclave.enclave_id, cycle) or flagged
     assert flagged
-    control = tee.system.enclaves.enclaves[enclave.enclave_id]
+    enclave_id = enclave.enclave_id
+    control = tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
     assert control.state is EnclaveState.SUSPENDED
 
 

@@ -28,7 +28,7 @@ def fleet():
                                      EnclaveConfig(name=f"e{index}"))
         if pool.resolve(enclave.enclave_id) == 1:
             manager = pool.shard_of(enclave.enclave_id).enclaves
-            assert manager is not tee.system.enclaves
+            assert manager is not pool.shards[0].enclaves
             return tee, enclave, manager
     pytest.fail("no enclave landed on shard 1")
 

@@ -8,6 +8,7 @@ from repro.common.constants import PAGE_SHIFT, PAGE_SIZE
 from repro.core.config import SystemConfig
 from repro.core.enclave import HEAP_BASE_VPN, EnclaveConfig
 from repro.core.system import HyperTEESystem
+from repro.ems.shardpool import EMSShard
 from repro.errors import SanityCheckError
 
 
@@ -16,21 +17,27 @@ def sys_() -> HyperTEESystem:
     return HyperTEESystem(SystemConfig(cs_memory_mb=48, ems_memory_mb=4))
 
 
-def running_enclave(sys_: HyperTEESystem, heap_max: int = 64) -> int:
-    result, _, _ = sys_.enclaves.ecreate(
+@pytest.fixture
+def shard(sys_: HyperTEESystem) -> EMSShard:
+    """The platform's one EMS, whose page manager is under test."""
+    return sys_.shard_pool.shards[0]
+
+
+def running_enclave(shard: EMSShard, heap_max: int = 64) -> int:
+    result, _, _ = shard.enclaves.ecreate(
         EnclaveConfig(heap_pages_max=heap_max))
     enclave_id = result["enclave_id"]
-    sys_.enclaves.eadd(enclave_id, b"code")
-    sys_.enclaves.emeas(enclave_id)
-    sys_.enclaves.eenter(enclave_id)
+    shard.enclaves.eadd(enclave_id, b"code")
+    shard.enclaves.emeas(enclave_id)
+    shard.enclaves.eenter(enclave_id)
     return enclave_id
 
 
-def test_ealloc_maps_heap(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_)
-    result, instr, _ = sys_.pages.ealloc(enclave_id, 4)
+def test_ealloc_maps_heap(shard: EMSShard):
+    enclave_id = running_enclave(shard)
+    result, instr, _ = shard.pages.ealloc(enclave_id, 4)
     assert instr > 0
-    control = sys_.enclaves.get(enclave_id)
+    control = shard.enclaves.get(enclave_id)
     base_vpn = result["vaddr"] >> PAGE_SHIFT
     assert base_vpn == HEAP_BASE_VPN
     for offset in range(4):
@@ -38,75 +45,76 @@ def test_ealloc_maps_heap(sys_: HyperTEESystem):
         assert pte is not None and pte.keyid == control.keyid
 
 
-def test_ealloc_sequential_regions(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_)
-    first, _, _ = sys_.pages.ealloc(enclave_id, 2)
-    second, _, _ = sys_.pages.ealloc(enclave_id, 2)
+def test_ealloc_sequential_regions(shard: EMSShard):
+    enclave_id = running_enclave(shard)
+    first, _, _ = shard.pages.ealloc(enclave_id, 2)
+    second, _, _ = shard.pages.ealloc(enclave_id, 2)
     assert second["vaddr"] == first["vaddr"] + 2 * PAGE_SIZE
 
 
-def test_ealloc_budget_enforced(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_, heap_max=4)
-    sys_.pages.ealloc(enclave_id, 4)
+def test_ealloc_budget_enforced(shard: EMSShard):
+    enclave_id = running_enclave(shard, heap_max=4)
+    shard.pages.ealloc(enclave_id, 4)
     with pytest.raises(SanityCheckError):
-        sys_.pages.ealloc(enclave_id, 1)
+        shard.pages.ealloc(enclave_id, 1)
 
 
-def test_ealloc_positive_pages(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_)
+def test_ealloc_positive_pages(shard: EMSShard):
+    enclave_id = running_enclave(shard)
     with pytest.raises(SanityCheckError):
-        sys_.pages.ealloc(enclave_id, 0)
+        shard.pages.ealloc(enclave_id, 0)
 
 
-def test_ealloc_pages_zeroed_under_enclave_key(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_)
-    result, _, _ = sys_.pages.ealloc(enclave_id, 1)
-    control = sys_.enclaves.get(enclave_id)
+def test_ealloc_pages_zeroed_under_enclave_key(sys_: HyperTEESystem,
+                                               shard: EMSShard):
+    enclave_id = running_enclave(shard)
+    result, _, _ = shard.pages.ealloc(enclave_id, 1)
+    control = shard.enclaves.get(enclave_id)
     pte = control.page_table.lookup(result["vaddr"] >> PAGE_SHIFT)
     data = sys_.memory.read(pte.ppn << PAGE_SHIFT, 64, control.keyid)
     assert data == bytes(64)
 
 
-def test_efree_returns_to_pool(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_)
-    result, _, _ = sys_.pages.ealloc(enclave_id, 4)
-    free_before = sys_.pool.free_count
-    sys_.pages.efree(enclave_id, result["vaddr"])
-    assert sys_.pool.free_count == free_before + 4
-    control = sys_.enclaves.get(enclave_id)
+def test_efree_returns_to_pool(shard: EMSShard):
+    enclave_id = running_enclave(shard)
+    result, _, _ = shard.pages.ealloc(enclave_id, 4)
+    free_before = shard.pool.free_count
+    shard.pages.efree(enclave_id, result["vaddr"])
+    assert shard.pool.free_count == free_before + 4
+    control = shard.enclaves.get(enclave_id)
     assert control.page_table.lookup(result["vaddr"] >> PAGE_SHIFT) is None
 
 
-def test_efree_unknown_region(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_)
+def test_efree_unknown_region(shard: EMSShard):
+    enclave_id = running_enclave(shard)
     with pytest.raises(SanityCheckError):
-        sys_.pages.efree(enclave_id, 0xDEAD000)
+        shard.pages.efree(enclave_id, 0xDEAD000)
 
 
-def test_fault_service_demand_allocates(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_)
+def test_fault_service_demand_allocates(shard: EMSShard):
+    enclave_id = running_enclave(shard)
     fault_vaddr = (HEAP_BASE_VPN + 10) << PAGE_SHIFT
-    result, _, _ = sys_.pages.service_fault(enclave_id, fault_vaddr)
+    result, _, _ = shard.pages.service_fault(enclave_id, fault_vaddr)
     assert result["pages"] == 1
-    control = sys_.enclaves.get(enclave_id)
+    control = shard.enclaves.get(enclave_id)
     assert control.page_table.lookup(HEAP_BASE_VPN + 10) is not None
 
 
-def test_fault_outside_heap_rejected(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_)
+def test_fault_outside_heap_rejected(shard: EMSShard):
+    enclave_id = running_enclave(shard)
     with pytest.raises(SanityCheckError):
-        sys_.pages.service_fault(enclave_id, 0x1000)  # code region
+        shard.pages.service_fault(enclave_id, 0x1000)  # code region
 
 
-def test_fault_beyond_budget_rejected(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_, heap_max=4)
+def test_fault_beyond_budget_rejected(shard: EMSShard):
+    enclave_id = running_enclave(shard, heap_max=4)
     beyond = (HEAP_BASE_VPN + 4) << PAGE_SHIFT
     with pytest.raises(SanityCheckError):
-        sys_.pages.service_fault(enclave_id, beyond)
+        shard.pages.service_fault(enclave_id, beyond)
 
 
-def test_fault_on_mapped_page_rejected(sys_: HyperTEESystem):
-    enclave_id = running_enclave(sys_)
-    result, _, _ = sys_.pages.ealloc(enclave_id, 1)
+def test_fault_on_mapped_page_rejected(shard: EMSShard):
+    enclave_id = running_enclave(shard)
+    result, _, _ = shard.pages.ealloc(enclave_id, 1)
     with pytest.raises(SanityCheckError):
-        sys_.pages.service_fault(enclave_id, result["vaddr"])
+        shard.pages.service_fault(enclave_id, result["vaddr"])

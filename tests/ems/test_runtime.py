@@ -9,11 +9,18 @@ from repro.common.types import Primitive, Privilege
 from repro.core.config import SystemConfig
 from repro.core.enclave import EnclaveConfig
 from repro.core.system import HyperTEESystem
+from repro.ems.shardpool import EMSShard
 
 
 @pytest.fixture
 def sys_() -> HyperTEESystem:
     return HyperTEESystem(SystemConfig(cs_memory_mb=48, ems_memory_mb=4))
+
+
+@pytest.fixture
+def shard(sys_: HyperTEESystem) -> EMSShard:
+    """The platform's one EMS, whose runtime is under test."""
+    return sys_.shard_pool.shards[0]
 
 
 def dispatch(sys_: HyperTEESystem, primitive: Primitive, args: dict,
@@ -23,7 +30,7 @@ def dispatch(sys_: HyperTEESystem, primitive: Primitive, args: dict,
         request_id=sys_.rng.randint(1, 10**9, stream="test-req"),
         primitive=primitive, enclave_id=enclave_id,
         privilege=privilege, args=args)
-    return sys_.ems.dispatch(request)
+    return sys_.shard_pool.shards[0].runtime.dispatch(request)
 
 
 def test_ok_dispatch(sys_: HyperTEESystem):
@@ -83,31 +90,31 @@ def test_service_cycles_scale_with_ems_config():
     assert r_slow.service_cycles > r_fast.service_cycles
 
 
-def test_pump_drains_and_shuffles(sys_: HyperTEESystem):
+def test_pump_drains_and_shuffles(shard: EMSShard):
     """Scheduling randomization: responses exist for every request, and
     processing order is not guaranteed to be arrival order."""
     for i in range(8):
-        sys_.mailbox.push_request(PrimitiveRequest(
+        shard.mailbox.push_request(PrimitiveRequest(
             request_id=100 + i, primitive=Primitive.ECREATE,
             enclave_id=None, privilege=Privilege.SUPERVISOR,
             args={"config": EnclaveConfig(name=f"e{i}")}))
-    served = sys_.ems.pump()
+    served = shard.runtime.pump()
     assert served == 8
-    ids = [sys_.mailbox.poll_response(100 + i).result["enclave_id"]
+    ids = [shard.mailbox.poll_response(100 + i).result["enclave_id"]
            for i in range(8)]
     assert sorted(ids) == list(range(ids and min(ids), min(ids) + 8))
-    assert sys_.ems.stats.served >= 8
+    assert shard.runtime.stats.served >= 8
 
 
-def test_stats_track_failures(sys_: HyperTEESystem):
-    before = sys_.ems.stats.failed
+def test_stats_track_failures(sys_: HyperTEESystem, shard: EMSShard):
+    before = shard.runtime.stats.failed
     dispatch(sys_, Primitive.EMEAS, {"enclave_id": 777})
-    assert sys_.ems.stats.failed == before + 1
+    assert shard.runtime.stats.failed == before + 1
 
 
-def test_every_primitive_has_a_handler(sys_: HyperTEESystem):
+def test_every_primitive_has_a_handler(shard: EMSShard):
     """Table II coverage: the dispatcher implements all 16 primitives."""
-    assert set(sys_.ems._handlers) == set(Primitive)
+    assert set(shard.runtime._handlers) == set(Primitive)
 
 
 def test_fabric_probe_records_served_traffic(sys_: HyperTEESystem):

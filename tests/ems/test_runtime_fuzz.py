@@ -17,6 +17,7 @@ from repro.common.packets import PrimitiveRequest, PrimitiveResponse, ResponseSt
 from repro.common.types import Permission, Primitive, Privilege
 from repro.core.config import SystemConfig
 from repro.core.system import HyperTEESystem
+from repro.ems.shardpool import EMSShard
 
 # Argument soup: wrong types, huge ints, negative values, junk keys.
 _VALUES = st.one_of(
@@ -41,18 +42,24 @@ def sys_() -> HyperTEESystem:
     return HyperTEESystem(SystemConfig(cs_memory_mb=64, ems_memory_mb=4))
 
 
+@pytest.fixture(scope="module")
+def shard(sys_: HyperTEESystem) -> EMSShard:
+    """The platform's one EMS, whose runtime is fuzzed."""
+    return sys_.shard_pool.shards[0]
+
+
 @given(primitive=st.sampled_from(list(Primitive)), args=_ARGS,
        enclave_id=st.one_of(st.none(), st.integers(min_value=-5,
                                                    max_value=50)),
        request_id=st.integers(min_value=1, max_value=2**31))
 @settings(max_examples=300, deadline=None)
-def test_dispatch_is_total(sys_: HyperTEESystem, primitive, args,
+def test_dispatch_is_total(shard: EMSShard, primitive, args,
                            enclave_id, request_id):
     """Any request yields a PrimitiveResponse; no exception escapes."""
     request = PrimitiveRequest(
         request_id=request_id, primitive=primitive,
         enclave_id=enclave_id, privilege=Privilege.SUPERVISOR, args=args)
-    response = sys_.ems.dispatch(request)
+    response = shard.runtime.dispatch(request)
     assert isinstance(response, PrimitiveResponse)
     assert response.request_id == request_id
     assert isinstance(response.status, ResponseStatus)
@@ -61,26 +68,27 @@ def test_dispatch_is_total(sys_: HyperTEESystem, primitive, args,
 
 @given(args=_ARGS)
 @settings(max_examples=100, deadline=None)
-def test_fuzzed_requests_never_leak_frames(sys_: HyperTEESystem, args):
+def test_fuzzed_requests_never_leak_frames(sys_: HyperTEESystem,
+                                           shard: EMSShard, args):
     """Failed requests must not leak pool frames or ownership claims."""
-    used_before = sys_.pool.used_count
+    used_before = shard.pool.used_count
     request = PrimitiveRequest(
         request_id=sys_.rng.randint(1, 2**31, stream="fuzz"),
         primitive=Primitive.EALLOC, enclave_id=None,
         privilege=Privilege.USER, args=args)
-    response = sys_.ems.dispatch(request)
+    response = shard.runtime.dispatch(request)
     if not response.ok:
-        assert sys_.pool.used_count == used_before
+        assert shard.pool.used_count == used_before
 
 
-def test_platform_still_functional_after_fuzzing(sys_: HyperTEESystem):
+def test_platform_still_functional_after_fuzzing(shard: EMSShard):
     """After the fuzz barrage the platform serves real work normally."""
     from repro.core.enclave import EnclaveConfig
 
-    result, _, _ = sys_.enclaves.ecreate(EnclaveConfig(name="post-fuzz"))
+    result, _, _ = shard.enclaves.ecreate(EnclaveConfig(name="post-fuzz"))
     enclave_id = result["enclave_id"]
-    sys_.enclaves.eadd(enclave_id, b"code")
-    sys_.enclaves.emeas(enclave_id)
-    sys_.enclaves.eenter(enclave_id)
-    alloc, _, _ = sys_.pages.ealloc(enclave_id, 2)
+    shard.enclaves.eadd(enclave_id, b"code")
+    shard.enclaves.emeas(enclave_id)
+    shard.enclaves.eenter(enclave_id)
+    alloc, _, _ = shard.pages.ealloc(enclave_id, 2)
     assert alloc["pages"] == 2

@@ -84,13 +84,27 @@ def _scripted_run(shards: int | None, seed: int = 0x51AD) -> dict:
 
 
 def test_one_shard_is_a_pool_of_one_with_a_plain_gate():
-    """``ems_shards=1``: one shard, its parts the single-EMS names."""
+    """``ems_shards=1``: one shard, behind a plain gate."""
     system = HyperTEE(SystemConfig(ems_shards=1)).system
     assert system.shard_pool.num_shards == 1
     assert type(system.emcall) is EMCall
-    assert system.ems_runtimes == [system.ems]
-    assert system.mailbox is system.shard_pool.shards[0].mailbox
     assert "shards" not in system.stats_summary()
+
+
+#: Every EMS part a shard owns (``HyperTEESystem._build_shard``).
+SHARD_PARTS = ("mailbox", "pool", "ownership", "enclaves", "pages", "swap",
+               "shm", "attestation", "runtime")
+
+
+@pytest.mark.parametrize("shards", (1, 4))
+def test_the_platform_holds_no_shard_part(shards: int):
+    """EMS state is reached through the shard pool, on any shard count:
+    no attribute of the platform is any shard's part."""
+    system = HyperTEE(SystemConfig(ems_shards=shards)).system
+    parts = {id(getattr(shard, name))
+             for shard in system.shard_pool.shards for name in SHARD_PARTS}
+    held = [name for name, value in vars(system).items() if id(value) in parts]
+    assert held == []
 
 
 def test_one_shard_is_bitforbit_the_default():

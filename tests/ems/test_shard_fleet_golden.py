@@ -92,8 +92,8 @@ def _fleet_run(shards: int, instrumented: bool) -> dict:
     out["memory_sha256"] = memory_digest(system)
     out["rng_sha256"] = _rng_digests(system)
     out["primitive_cycles"] = tee.primitive_cycles
-    out["served"] = [runtime.stats.served
-                     for runtime in system.ems_runtimes]
+    out["served"] = [shard.runtime.stats.served
+                     for shard in system.shard_pool.shards]
     if instrumented:
         report = json.dumps(system.san.to_dict(), sort_keys=True)
         out["sanitize_report_sha256"] = hashlib.sha256(

@@ -14,6 +14,11 @@ def tee() -> HyperTEE:
     return HyperTEE()
 
 
+def shm_of(tee: HyperTEE, region):
+    """The shared-memory manager of the shard that holds ``region``."""
+    return tee.system.shard_pool.shard_of(region.owner.enclave_id).shm
+
+
 def make_pair(tee: HyperTEE):
     sender = tee.launch_enclave(b"sender", EnclaveConfig(name="s"))
     receiver = tee.launch_enclave(b"receiver", EnclaveConfig(name="r"))
@@ -25,9 +30,9 @@ def make_pair(tee: HyperTEE):
 
 def test_owner_destroy_with_no_attachments_reclaims(tee: HyperTEE):
     sender, _, region = make_pair(tee)
-    keyid = tee.system.shm.regions[region.shm_id].keyid
+    keyid = shm_of(tee, region).regions[region.shm_id].keyid
     sender.destroy()
-    assert region.shm_id not in tee.system.shm.regions
+    assert region.shm_id not in shm_of(tee, region).regions
     assert not tee.system.engine.has_key(keyid)
 
 
@@ -43,11 +48,11 @@ def test_owner_destroy_keeps_region_for_attached_receiver(tee: HyperTEE):
         vb = receiver.attach(region)
     sender.destroy()
 
-    assert region.shm_id in tee.system.shm.regions  # still alive
+    assert region.shm_id in shm_of(tee, region).regions  # still alive
     with receiver.running():
         assert receiver.read(vb, 23) == b"will outlive the sender"
         receiver.detach(region)  # last attachment drops -> reclaim
-    assert region.shm_id not in tee.system.shm.regions
+    assert region.shm_id not in shm_of(tee, region).regions
 
 
 def test_attached_receiver_destroy_drops_its_connection(tee: HyperTEE):
@@ -58,7 +63,7 @@ def test_attached_receiver_destroy_drops_its_connection(tee: HyperTEE):
     receiver.destroy()
     with sender.running():
         sender.destroy_region(region)  # no ActiveConnectionsRemain
-    assert region.shm_id not in tee.system.shm.regions
+    assert region.shm_id not in shm_of(tee, region).regions
 
 
 def test_destroyed_receiver_loses_authorization(tee: HyperTEE):
@@ -66,5 +71,5 @@ def test_destroyed_receiver_loses_authorization(tee: HyperTEE):
     a new enclave reusing an id could otherwise inherit access."""
     sender, receiver, region = make_pair(tee)
     receiver.destroy()
-    control = tee.system.shm.regions[region.shm_id]
+    control = shm_of(tee, region).regions[region.shm_id]
     assert receiver.enclave_id not in control.legal_connections

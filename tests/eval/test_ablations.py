@@ -95,7 +95,8 @@ def test_targeted_eviction_reopens_the_swap_channel():
         is AttackOutcome.LEAKED
 
     system = HyperTEESystem(SystemConfig(cs_memory_mb=64, ems_memory_mb=4))
-    counts = [system.swap.ewb(4)[0]["pages"] for _ in range(16)]
+    swap = system.shard_pool.shards[0].swap
+    counts = [swap.ewb(4)[0]["pages"] for _ in range(16)]
     assert len(set(counts)) > 1
     assert all(count >= 4 for count in counts)
 

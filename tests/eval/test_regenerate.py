@@ -19,6 +19,7 @@ def test_single_artifact_renders(name: str):
     text = regenerate([name])
     assert text.startswith("===")
     assert len(text.splitlines()) >= 4
+    assert not [line for line in text.splitlines() if line != line.rstrip()]
 
 
 def test_selection_order_respected():

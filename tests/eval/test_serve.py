@@ -112,6 +112,12 @@ def test_cli_serve_starvation_exit_codes(capsys):
 
 
 def test_cli_serve_rejects_bad_config(capsys):
-    """Config errors are a usage failure (exit 2), not a traceback."""
-    assert main(["serve", "--shards", "0"]) == 2
-    assert "error" in capsys.readouterr().err
+    """Config errors are a usage failure (exit 2), not a traceback.
+
+    Sixteen shards' pools need more CS memory than the default 64 MB
+    holds, so that platform cannot boot.
+    """
+    for shards in ("0", "16"):
+        assert main(["serve", "--shards", shards]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -57,7 +57,7 @@ def _alloc_rounds(tee, *, rounds: int = 6, batch: int = 8) -> bytes:
 def _fault_free_reference(**kwargs):
     tee = chaos_tee(FaultPlan.empty(), observability=False)
     measurement = _alloc_rounds(tee, **kwargs)
-    return measurement, tee.system.pool.stats.takes
+    return measurement, tee.system.shard_pool.shards[0].pool.stats.takes
 
 
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
@@ -72,8 +72,9 @@ def test_batched_lifecycle_survives_transport_chaos(seed: int):
     injector = tee.system.faults
     assert injector.stats.total_fired > 0
     # The lifecycle really rode the fast path.
-    assert tee.system.mailbox.stats.batches_sent > 0
-    assert tee.system.ems.stats.batches_served > 0
+    shard = tee.system.shard_pool.shards[0]
+    assert shard.mailbox.stats.batches_sent > 0
+    assert shard.runtime.stats.batches_served > 0
 
 
 @pytest.mark.parametrize("seed", range(chaos_seed_count()))
@@ -93,21 +94,22 @@ def test_element_corrupt_replays_only_the_wounded_suffix(seed: int):
     check_invariants(tee.system)
 
     injector = tee.system.faults
-    ems = tee.system.ems.stats
+    shard = tee.system.shard_pool.shards[0]
+    ems = shard.runtime.stats
     fired = injector.fired_count("mailbox.batch.element_corrupt")
     assert fired > 0, "a 25% element-corrupt plan must fire"
     # Every firing produced exactly one TRANSIENT element answer.
     assert ems.transient_failures == fired
     # Suffix-only replay: the wounded elements crossed again (more
     # batched elements than a clean run would need) in extra envelopes.
-    assert tee.system.mailbox.stats.batched_requests > 0
+    assert shard.mailbox.stats.batched_requests > 0
     assert ems.batches_served > 0
     # ... but acknowledged elements never re-crossed: the idempotency
     # cache saw no replayed keys at all.
     assert ems.idempotent_replays == 0
     # No double-apply: the pool granted exactly the fault-free number of
     # frames, and the measurement is bit-identical.
-    assert tee.system.pool.stats.takes == reference_takes
+    assert shard.pool.stats.takes == reference_takes
     assert measurement == reference_measurement
 
 
@@ -126,9 +128,10 @@ def test_handler_exception_mid_batch_is_transient_and_isolated(seed: int):
     measurement = _alloc_rounds(tee)
     check_invariants(tee.system)
 
-    ems = tee.system.ems.stats
+    shard = tee.system.shard_pool.shards[0]
+    ems = shard.runtime.stats
     assert ems.transient_failures > 0, "a 15% crash plan must fire"
-    assert tee.system.pool.stats.takes == reference_takes
+    assert shard.pool.stats.takes == reference_takes
     assert measurement == reference_measurement
 
 
@@ -153,10 +156,11 @@ def test_lost_envelopes_replay_through_the_idempotency_cache(seed: int):
     check_invariants(tee.system)
 
     injector = tee.system.faults
+    shard = tee.system.shard_pool.shards[0]
     assert injector.stats.total_fired > 0
-    assert tee.system.pool.stats.takes == reference_takes
+    assert shard.pool.stats.takes == reference_takes
     assert measurement == reference_measurement
     # If any response was dropped, the replayed envelope was absorbed by
     # the EMS idempotency cache rather than re-applied.
     if injector.fired_count("mailbox.response.drop"):
-        assert tee.system.ems.stats.idempotent_replays > 0
+        assert shard.runtime.stats.idempotent_replays > 0

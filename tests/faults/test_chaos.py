@@ -108,10 +108,11 @@ def test_kitchen_sink_chaos_terminates(seed: int):
         readbacks = run_lifecycle(tee, enclaves=4)
         assert readbacks == [f"secret-of-{i}".encode() for i in range(4)]
         check_invariants(tee.system)
-    stats = tee.system.mailbox.stats
     # Late answers to cancelled requests must be discarded, not mixed
     # into later invocations' slots.
-    assert stats.requests_cancelled >= stats.stale_responses
+    for shard in tee.system.shard_pool.shards:
+        stats = shard.mailbox.stats
+        assert stats.requests_cancelled >= stats.stale_responses
 
 
 def test_table6_outcomes_unchanged_under_faults():

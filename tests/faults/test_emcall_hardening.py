@@ -25,7 +25,14 @@ from repro.faults import FaultPlan, FaultRule
 
 def _black_hole(system) -> None:
     """An EMS that eats requests and never answers (crashed runtime)."""
-    system.emcall._ems_pump = lambda: system.mailbox.fetch_requests()
+    mailbox = system.shard_pool.shards[0].mailbox
+    system.emcall._ems_pump = lambda: mailbox.fetch_requests()
+
+
+@pytest.fixture
+def shard(system):
+    """The platform's one EMS, behind the gate under test."""
+    return system.shard_pool.shards[0]
 
 
 @pytest.fixture
@@ -51,15 +58,15 @@ def test_lost_response_raises_typed_timeout(system, supervisor):
     assert isinstance(err, EMCallError)
 
 
-def test_poll_loop_is_bounded(system, supervisor):
+def test_poll_loop_is_bounded(system, shard, supervisor):
     _black_hole(system)
     with pytest.raises(EMCallTimeout):
         system.emcall.invoke(Primitive.EWB, {"pages": 1}, core=supervisor)
     budget = (EMCALL_DEADLINE_POLLS["EWB"]
               * system.emcall.retry_policy.max_attempts)
-    assert system.mailbox.stats.poll_attempts <= budget
+    assert shard.mailbox.stats.poll_attempts <= budget
     # Every timed-out attempt released its slot (late answers go stale).
-    assert system.mailbox.stats.requests_cancelled == \
+    assert shard.mailbox.stats.requests_cancelled == \
         system.emcall.retry_policy.max_attempts
 
 
@@ -77,12 +84,12 @@ def test_degrade_policy_returns_structured_result(system, supervisor):
     assert outcome.result("frames", default="unreached") == "unreached"
 
 
-def test_detached_ems_is_a_typed_error_not_a_hang(system, supervisor):
+def test_detached_ems_is_a_typed_error_not_a_hang(system, shard, supervisor):
     """Invoking before secure boot wires the pump fails fast and typed."""
     system.emcall._ems_pump = None
     with pytest.raises(EMCallError, match="EMS not attached"):
         system.emcall.invoke(Primitive.EWB, {"pages": 1}, core=supervisor)
-    assert system.mailbox.stats.requests_sent == 0  # nothing even queued
+    assert shard.mailbox.stats.requests_sent == 0  # nothing even queued
 
 
 def test_degradation_is_visible_in_metrics(system, supervisor):
@@ -114,7 +121,7 @@ def test_degraded_result_surfaces_as_api_error(system):
 # -- retry paths that recover ------------------------------------------------
 
 
-def test_dropped_response_retried_and_replayed(system, supervisor):
+def test_dropped_response_retried_and_replayed(system, shard, supervisor):
     system.enable_fault_injection(FaultPlan(rules=(
         FaultRule("mailbox.response.drop", count=1),)))
     result = system.emcall.invoke(Primitive.ECREATE,
@@ -125,14 +132,14 @@ def test_dropped_response_retried_and_replayed(system, supervisor):
     # The EMS executed ECREATE once and replayed the cached outcome for
     # the retry — no double-create.
     assert result.response.result.get("replayed") is True
-    assert system.ems.stats.idempotent_replays == 1
-    assert len(system.enclaves.enclaves) == 1
+    assert shard.runtime.stats.idempotent_replays == 1
+    assert len(shard.enclaves.enclaves) == 1
     # The wasted polls and the backoff wait are CS-visible.
-    assert system.mailbox.stats.responses_dropped == 1
-    assert system.mailbox.stats.requests_cancelled == 1
+    assert shard.mailbox.stats.responses_dropped == 1
+    assert shard.mailbox.stats.requests_cancelled == 1
 
 
-def test_transient_handler_crash_is_retried(system, supervisor):
+def test_transient_handler_crash_is_retried(system, shard, supervisor):
     system.enable_fault_injection(FaultPlan(rules=(
         FaultRule("ems.handler.exception", count=1),)))
     result = system.emcall.invoke(Primitive.ECREATE,
@@ -140,21 +147,21 @@ def test_transient_handler_crash_is_retried(system, supervisor):
                                   core=supervisor)
     assert result.ok
     assert result.attempts == 2
-    assert system.ems.stats.transient_failures == 1
+    assert shard.runtime.stats.transient_failures == 1
     # The crash fired before the handler ran, so the retry is the first
     # (and only) real execution: nothing was replayed, nothing doubled.
-    assert system.ems.stats.idempotent_replays == 0
-    assert len(system.enclaves.enclaves) == 1
+    assert shard.runtime.stats.idempotent_replays == 0
+    assert len(shard.enclaves.enclaves) == 1
 
 
-def test_queue_full_burst_is_ridden_out(system, supervisor):
+def test_queue_full_burst_is_ridden_out(system, shard, supervisor):
     system.enable_fault_injection(FaultPlan(rules=(
         FaultRule("mailbox.queue_full", count=1, magnitude=2),)))
     result = system.emcall.invoke(Primitive.EWB, {"pages": 1},
                                   core=supervisor)
     assert result.ok
     assert result.attempts == 3  # two refused pushes, then through
-    assert system.mailbox.stats.injected_queue_full == 2
+    assert shard.mailbox.stats.injected_queue_full == 2
 
 
 def test_retries_cost_cycles(system, supervisor):

@@ -14,6 +14,7 @@ from repro.common.packets import (
     ResponseStatus,
 )
 from repro.common.types import Primitive, Privilege
+from repro.ems.shardpool import EMSShard
 from repro.errors import MailboxError
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.hw.mailbox import Mailbox
@@ -134,57 +135,59 @@ def test_fabric_latency_stretches_transfer_leg():
 # -- EMS runtime points ------------------------------------------------------
 
 
-def _wire(system, *rules: FaultRule, seed: int = 11):
+def _wire(system, *rules: FaultRule, seed: int = 11) -> EMSShard:
+    """Arm ``rules`` on the platform and return its one EMS."""
     plan = FaultPlan(seed=seed, rules=rules)
     system.enable_fault_injection(plan)
-    return system
+    return system.shard_pool.shards[0]
 
 
 def test_handler_exception_answers_transient(system):
-    _wire(system, FaultRule("ems.handler.exception", count=1))
+    shard = _wire(system, FaultRule("ems.handler.exception", count=1))
     request = _request(901, args={"pages": 1})
-    response = system.ems.dispatch(request)
+    response = shard.runtime.dispatch(request)
     assert response.status is ResponseStatus.TRANSIENT
-    assert system.ems.stats.transient_failures == 1
+    assert shard.runtime.stats.transient_failures == 1
     # The crash fired before the handler ran: nothing was swapped.
-    assert system.ems.stats.served == 0
+    assert shard.runtime.stats.served == 0
 
 
 def test_handler_stall_defers_and_inflates_response(system):
-    _wire(system, FaultRule("ems.handler.stall", count=1,
-                            magnitude=120_000))
-    system.mailbox.push_request(_request(902, args={"pages": 1}))
-    assert system.ems.pump() == 1
-    assert system.ems.stats.stalled_responses == 1
+    shard = _wire(system, FaultRule("ems.handler.stall", count=1,
+                                    magnitude=120_000))
+    shard.mailbox.push_request(_request(902, args={"pages": 1}))
+    assert shard.runtime.pump() == 1
+    assert shard.runtime.stats.stalled_responses == 1
     # Held back for magnitude // 50_000 = 2 pump rounds.
-    assert system.mailbox.poll_response(902) is None
-    system.ems.pump()
-    assert system.mailbox.poll_response(902) is None
-    system.ems.pump()
-    response = system.mailbox.poll_response(902)
+    assert shard.mailbox.poll_response(902) is None
+    shard.runtime.pump()
+    assert shard.mailbox.poll_response(902) is None
+    shard.runtime.pump()
+    response = shard.mailbox.poll_response(902)
     assert response is not None
     assert response.service_cycles >= 120_000  # the stall is accounted
 
 
 def test_core_pause_freezes_pump_rounds(system):
-    _wire(system, FaultRule("ems.core.pause", count=1, magnitude=3))
-    system.mailbox.push_request(_request(903, args={"pages": 1}))
-    assert system.ems.pump() == 0  # round 1 of the pause
-    assert system.ems.pump() == 0  # round 2
-    assert system.ems.pump() == 0  # round 3
-    assert system.ems.stats.paused_rounds == 3
-    assert system.ems.pump() == 1  # thawed; the backlog drains
-    assert system.mailbox.poll_response(903).ok
+    shard = _wire(system, FaultRule("ems.core.pause", count=1, magnitude=3))
+    shard.mailbox.push_request(_request(903, args={"pages": 1}))
+    assert shard.runtime.pump() == 0  # round 1 of the pause
+    assert shard.runtime.pump() == 0  # round 2
+    assert shard.runtime.pump() == 0  # round 3
+    assert shard.runtime.stats.paused_rounds == 3
+    assert shard.runtime.pump() == 1  # thawed; the backlog drains
+    assert shard.mailbox.poll_response(903).ok
 
 
 def test_idempotent_replay_answers_from_cache(system):
+    shard = system.shard_pool.shards[0]
     first = _request(904, args={"pages": 1},
                      idempotency_key="c0-k77")
     retry = _request(905, args={"pages": 1},
                      idempotency_key="c0-k77")
-    assert system.ems.dispatch(first).ok
-    replayed = system.ems.dispatch(retry)
+    assert shard.runtime.dispatch(first).ok
+    replayed = shard.runtime.dispatch(retry)
     assert replayed.ok
     assert replayed.result.get("replayed") is True
-    assert system.ems.stats.idempotent_replays == 1
-    assert system.ems.stats.served == 1  # the handler ran exactly once
+    assert shard.runtime.stats.idempotent_replays == 1
+    assert shard.runtime.stats.served == 1  # the handler ran exactly once

@@ -38,14 +38,15 @@ def _run_lifecycle(sanitize: bool) -> dict:
         enclave.efree(vaddr)
     tee.invoke_os(Primitive.EWB, {"pages": 1})
     enclave.destroy()
+    shards = tee.system.shard_pool.shards
     return {
         "readback": readback.hex(),
         "measurement": quote.enclave.measurement.hex(),
         "signature": quote.enclave.signature.hex(),
         "primitive_cycles": tee.primitive_cycles,
-        "ems_stats": vars(tee.system.ems.stats).copy(),
-        "pool": [tee.system.pool.used_count, tee.system.pool.free_count,
-                 tee.system.pool.capacity],
+        "ems_stats": [vars(shard.runtime.stats).copy() for shard in shards],
+        "pool": [[shard.pool.used_count, shard.pool.free_count,
+                  shard.pool.capacity] for shard in shards],
         "slo": tee.system.obs.slo.report(),
         "latency": tee.system.obs.primitive_latency_table(),
     }

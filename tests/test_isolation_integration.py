@@ -13,7 +13,8 @@ from repro.errors import BitmapViolation, IsolationViolation
 
 
 def find_secret_frame(tee: HyperTEE, enclave, vaddr: int) -> int:
-    control = tee.system.enclaves.enclaves[enclave.enclave_id]
+    enclave_id = enclave.enclave_id
+    control = tee.system.enclaves_of(enclave_id).enclaves[enclave_id]
     return control.page_table.lookup(vaddr >> PAGE_SHIFT).ppn
 
 
@@ -57,8 +58,8 @@ def test_enclaves_isolated_from_each_other(tee: HyperTEE):
         vb = b.ealloc(1)
         b.write(vb, b"b's secret")
 
-    ctrl_a = tee.system.enclaves.enclaves[a.enclave_id]
-    ctrl_b = tee.system.enclaves.enclaves[b.enclave_id]
+    ctrl_a = tee.system.enclaves_of(a.enclave_id).enclaves[a.enclave_id]
+    ctrl_b = tee.system.enclaves_of(b.enclave_id).enclaves[b.enclave_id]
     assert ctrl_a.keyid != ctrl_b.keyid
     assert not (set(ctrl_a.frames) & set(ctrl_b.frames))
     frame_a = ctrl_a.page_table.lookup(va >> PAGE_SHIFT).ppn
@@ -131,6 +132,7 @@ def test_shared_region_invisible_to_host(tee: HyperTEE):
         region = a.create_shared_region(1)
         va = a.attach(region)
         a.write(va, b"shared secret")
-    control = tee.system.shm.regions[region.shm_id]
+    shm = tee.system.shard_pool.shard_of(a.enclave_id).shm
+    control = shm.regions[region.shm_id]
     raw = tee.system.memory.read_raw(control.base_paddr, 13)
     assert raw != b"shared secret"

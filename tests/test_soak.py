@@ -75,9 +75,10 @@ def test_survivors_retain_state(soaked: HyperTEE):
 
 
 def test_pool_conservation_after_soak(soaked: HyperTEE):
-    pool = soaked.system.pool
-    assert pool.used_count + pool.free_count == pool.capacity
-    assert pool.used_count >= 0
+    for shard in soaked.system.shard_pool.shards:
+        pool = shard.pool
+        assert pool.used_count + pool.free_count == pool.capacity
+        assert pool.used_count >= 0
 
 
 def test_no_leaked_ownership(soaked: HyperTEE):
@@ -86,18 +87,19 @@ def test_no_leaked_ownership(soaked: HyperTEE):
     from repro.common.types import EnclaveState
     from repro.ems.ownership import Owner
 
-    system = soaked.system
-    live_ids = {i for i, c in system.enclaves.enclaves.items()
-                if c.state is not EnclaveState.DESTROYED}
-    expected = set()
-    for enclave_id in live_ids:
-        expected |= set(system.ownership.frames_owned_by(
-            Owner.enclave(enclave_id)))
-        expected |= set(system.ownership.frames_owned_by(
-            Owner.ems(f"enclave{enclave_id}-pagetable")))
-    for shm_id in system.shm.regions:
-        expected |= set(system.ownership.frames_owned_by(Owner.shared(shm_id)))
-    assert set(system.ownership._owners) == expected
+    for shard in soaked.system.shard_pool.shards:
+        ownership = shard.ownership
+        live_ids = {i for i, c in shard.enclaves.enclaves.items()
+                    if c.state is not EnclaveState.DESTROYED}
+        expected = set()
+        for enclave_id in live_ids:
+            expected |= set(ownership.frames_owned_by(
+                Owner.enclave(enclave_id)))
+            expected |= set(ownership.frames_owned_by(
+                Owner.ems(f"enclave{enclave_id}-pagetable")))
+        for shm_id in shard.shm.regions:
+            expected |= set(ownership.frames_owned_by(Owner.shared(shm_id)))
+        assert set(ownership._owners) == expected
 
 
 def test_engine_keys_match_live_entities(soaked: HyperTEE):
@@ -105,13 +107,17 @@ def test_engine_keys_match_live_entities(soaked: HyperTEE):
     from repro.common.types import EnclaveState
 
     system = soaked.system
-    live_keys = {c.keyid for c in system.enclaves.enclaves.values()
+    shards = system.shard_pool.shards
+    controls = [c for shard in shards
+                for c in shard.enclaves.enclaves.values()]
+    live_keys = {c.keyid for c in controls
                  if c.state is not EnclaveState.DESTROYED}
-    live_keys |= {r.keyid for r in system.shm.regions.values()}
+    live_keys |= {r.keyid for shard in shards
+                  for r in shard.shm.regions.values()}
     programmed = set(system.keys.live_keyids())
     # Every live entity's key is present; no destroyed entity's remains.
     assert live_keys <= programmed | live_keys  # live may be suspended
-    dead_keys = {c.keyid for c in system.enclaves.enclaves.values()
+    dead_keys = {c.keyid for c in controls
                  if c.state is EnclaveState.DESTROYED}
     assert not (dead_keys & programmed)
 
@@ -200,6 +206,6 @@ def test_faulted_soak_holds_invariants_every_step():
 
     # The weather was real, and nothing slipped through it.
     assert tee.system.faults.stats.total_fired > 0
-    assert tee.system.ems.stats.failed == 0
-    summary = tee.system.stats_summary()
+    summary = tee.system.stats_summary()  # every shard's counters, summed
+    assert summary["ems"]["failed"] == 0
     assert summary["fabric"]["isolation_blocks"] == 0

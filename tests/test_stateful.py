@@ -28,6 +28,7 @@ from repro.common.types import EnclaveState, Permission
 from repro.core.config import SystemConfig
 from repro.core.enclave import EnclaveConfig
 from repro.core.system import HyperTEESystem
+from repro.ems.shardpool import EMSShard
 from repro.errors import EMSError
 
 
@@ -35,6 +36,8 @@ class HyperTEEMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.sys: HyperTEESystem | None = None
+        #: The platform's one EMS, whose managers the rules drive.
+        self.shard: EMSShard | None = None
         self.enclave_ids: list[int] = []
         self.heap_regions: dict[int, list[int]] = {}
         self.shm_ids: list[int] = []
@@ -44,23 +47,24 @@ class HyperTEEMachine(RuleBasedStateMachine):
         self.sys = HyperTEESystem(
             SystemConfig(cs_memory_mb=64, ems_memory_mb=4,
                          pool_initial_pages=128))
+        self.shard = self.sys.shard_pool.shards[0]
 
     # -- rules -----------------------------------------------------------------------
 
     @rule(heap=st.integers(min_value=4, max_value=64))
     def create_enclave(self, heap: int) -> None:
-        result, _, _ = self.sys.enclaves.ecreate(
+        result, _, _ = self.shard.enclaves.ecreate(
             EnclaveConfig(name=f"e{len(self.enclave_ids)}",
                           heap_pages_max=heap))
         enclave_id = result["enclave_id"]
-        self.sys.enclaves.eadd(enclave_id, b"code")
-        self.sys.enclaves.emeas(enclave_id)
+        self.shard.enclaves.eadd(enclave_id, b"code")
+        self.shard.enclaves.emeas(enclave_id)
         self.enclave_ids.append(enclave_id)
         self.heap_regions[enclave_id] = []
 
     def _live(self) -> list[int]:
         return [i for i in self.enclave_ids
-                if self.sys.enclaves.enclaves[i].state
+                if self.shard.enclaves.enclaves[i].state
                 is not EnclaveState.DESTROYED]
 
     @rule(pick=st.integers(min_value=0, max_value=10**6),
@@ -71,7 +75,7 @@ class HyperTEEMachine(RuleBasedStateMachine):
             return
         enclave_id = live[pick % len(live)]
         try:
-            result, _, _ = self.sys.pages.ealloc(enclave_id, pages)
+            result, _, _ = self.shard.pages.ealloc(enclave_id, pages)
             self.heap_regions[enclave_id].append(result["vaddr"])
         except EMSError:
             pass  # budget exceeded: allowed, state must stay consistent
@@ -83,7 +87,7 @@ class HyperTEEMachine(RuleBasedStateMachine):
             return
         enclave_id = live[pick % len(live)]
         vaddr = self.heap_regions[enclave_id].pop()
-        self.sys.pages.efree(enclave_id, vaddr)
+        self.shard.pages.efree(enclave_id, vaddr)
 
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def enter_exit(self, pick: int) -> None:
@@ -91,26 +95,26 @@ class HyperTEEMachine(RuleBasedStateMachine):
         if not live:
             return
         enclave_id = live[pick % len(live)]
-        control = self.sys.enclaves.enclaves[enclave_id]
+        control = self.shard.enclaves.enclaves[enclave_id]
         if control.state in (EnclaveState.MEASURED, EnclaveState.SUSPENDED):
-            self.sys.enclaves.eenter(enclave_id)
-            self.sys.enclaves.eexit(enclave_id)
+            self.shard.enclaves.eenter(enclave_id)
+            self.shard.enclaves.eexit(enclave_id)
 
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def destroy(self, pick: int) -> None:
         live = [i for i in self._live()
-                if self.sys.enclaves.enclaves[i].state
+                if self.shard.enclaves.enclaves[i].state
                 is not EnclaveState.RUNNING]
         if not live:
             return
         enclave_id = live[pick % len(live)]
-        self.sys.enclaves.edestroy(enclave_id)
+        self.shard.enclaves.edestroy(enclave_id)
         self.heap_regions[enclave_id] = []
 
     @rule(pages=st.integers(min_value=1, max_value=4))
     def ewb(self, pages: int) -> None:
         try:
-            self.sys.swap.ewb(pages)
+            self.shard.swap.ewb(pages)
         except EMSError:
             pass
 
@@ -122,7 +126,7 @@ class HyperTEEMachine(RuleBasedStateMachine):
             return
         sender = live[pick % len(live)]
         try:
-            result, _, _ = self.sys.shm.eshmget(sender, pages, Permission.RW)
+            result, _, _ = self.shard.shm.eshmget(sender, pages, Permission.RW)
             self.shm_ids.append(result["shm_id"])
         except EMSError:
             pass
@@ -133,7 +137,7 @@ class HyperTEEMachine(RuleBasedStateMachine):
     def pool_conservation(self) -> None:
         if self.sys is None:
             return
-        pool = self.sys.pool
+        pool = self.shard.pool
         assert pool.used_count + pool.free_count == pool.capacity
         assert pool.used_count >= 0
 
@@ -143,7 +147,7 @@ class HyperTEEMachine(RuleBasedStateMachine):
             return
         seen: set[int] = set()
         for enclave_id in self._live():
-            control = self.sys.enclaves.enclaves[enclave_id]
+            control = self.shard.enclaves.enclaves[enclave_id]
             frames = set(control.frames)
             assert not (frames & seen), "two enclaves share a frame"
             seen |= frames
@@ -153,7 +157,7 @@ class HyperTEEMachine(RuleBasedStateMachine):
         if self.sys is None:
             return
         for enclave_id in self._live():
-            control = self.sys.enclaves.enclaves[enclave_id]
+            control = self.shard.enclaves.enclaves[enclave_id]
             for frame in control.frames:
                 assert self.sys.bitmap.is_enclave(frame)
 
@@ -162,12 +166,12 @@ class HyperTEEMachine(RuleBasedStateMachine):
         if self.sys is None:
             return
         for enclave_id in self._live():
-            control = self.sys.enclaves.enclaves[enclave_id]
+            control = self.shard.enclaves.enclaves[enclave_id]
             from repro.ems.ownership import Owner
 
-            owned = set(self.sys.ownership.frames_owned_by(
+            owned = set(self.shard.ownership.frames_owned_by(
                 Owner.enclave(enclave_id)))
-            table_owned = set(self.sys.ownership.frames_owned_by(
+            table_owned = set(self.shard.ownership.frames_owned_by(
                 Owner.ems(f"enclave{enclave_id}-pagetable")))
             assert set(control.frames) == owned | table_owned
 
@@ -176,7 +180,7 @@ class HyperTEEMachine(RuleBasedStateMachine):
         if self.sys is None:
             return
         for enclave_id in self._live():
-            control = self.sys.enclaves.enclaves[enclave_id]
+            control = self.shard.enclaves.enclaves[enclave_id]
             if control.state is EnclaveState.DESTROYED:
                 continue
             assert self.sys.engine.has_key(control.keyid) or \

@@ -42,11 +42,12 @@ def test_closed_form_matches_live_system():
     """The analytic EALLOC latency tracks an actual invocation through
     EMCall + mailbox + EMS runtime within the jitter window."""
     sys_ = HyperTEESystem(SystemConfig(cs_memory_mb=48, ems_memory_mb=4))
-    result, _, _ = sys_.enclaves.ecreate(EnclaveConfig(heap_pages_max=128))
+    enclaves = sys_.shard_pool.shards[0].enclaves
+    result, _, _ = enclaves.ecreate(EnclaveConfig(heap_pages_max=128))
     enclave_id = result["enclave_id"]
-    sys_.enclaves.eadd(enclave_id, b"c")
-    sys_.enclaves.emeas(enclave_id)
-    sys_.enclaves.eenter(enclave_id)
+    enclaves.eadd(enclave_id, b"c")
+    enclaves.emeas(enclave_id)
+    enclaves.eenter(enclave_id)
 
     core = sys_.primary_core
     core.current_enclave_id = enclave_id
